@@ -9,7 +9,6 @@
 
 use crate::error::AllianceError;
 use crate::ids::{AllianceId, ObjectId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Creates, dissolves and tracks alliances and their members.
@@ -30,14 +29,14 @@ use std::collections::{BTreeMap, BTreeSet};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AllianceRegistry {
     alliances: BTreeMap<AllianceId, Alliance>,
     next_id: u32,
 }
 
 /// One alliance: a named set of member objects.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Alliance {
     /// The alliance's identity.
     pub id: AllianceId,

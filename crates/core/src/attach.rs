@@ -45,11 +45,10 @@
 use crate::alliance::AllianceRegistry;
 use crate::error::AttachError;
 use crate::ids::{AllianceId, ObjectId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
 
 /// System-wide attachment semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AttachmentMode {
     /// Conventional fully transitive attachment.
     #[default]
@@ -106,7 +105,7 @@ const NO_SLOT: u32 = u32::MAX;
 /// The `dirty` bit lives at the representative: a detach in the component
 /// sets it, and the next query rebuilds the component's partition from the
 /// surviving edges before answering.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct Connectivity {
     parent: Vec<u32>,
     rank: Vec<u8>,
@@ -273,7 +272,7 @@ impl ClosureScratch {
 /// // …while the unrestricted closure would take everything.
 /// assert_eq!(g.closure(s1, Traversal::AllEdges).len(), 3);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AttachmentGraph {
     mode: AttachmentMode,
     /// Slot of a raw object id, or `NO_SLOT`.

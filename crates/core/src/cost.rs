@@ -18,8 +18,6 @@
 //! Placement therefore always saves `M + C` in this scenario, which is the
 //! seed of the simulation results in §4.2.
 
-use serde::{Deserialize, Serialize};
-
 /// The §3.2 cost parameters.
 ///
 /// # Example
@@ -33,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(model.placement_conflict(8) < model.conventional_conflict_worst(8));
 /// assert_eq!(model.placement_advantage(8), 6.0 + 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     migration: f64,
     message: f64,

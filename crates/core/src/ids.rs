@@ -4,7 +4,6 @@
 //! by a dense `u32` index wrapped in a newtype, so the different id spaces
 //! cannot be confused (C-NEWTYPE) and all lookups stay `Vec`-indexable.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! define_id {
@@ -12,7 +11,6 @@ macro_rules! define_id {
         $(#[$meta])*
         #[derive(
             Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
         )]
         pub struct $name(u32);
 

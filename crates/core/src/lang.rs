@@ -17,13 +17,12 @@
 //! This module parses and represents such declarations; `oml-runtime`
 //! executes them (`Cluster::invoke_with_decl`).
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
 
 /// How an object parameter is passed (§2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ParamMode {
     /// Ordinary remote reference — no migration.
     #[default]
@@ -46,7 +45,7 @@ impl fmt::Display for ParamMode {
 }
 
 /// One declared parameter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Param {
     /// Parameter name.
     pub name: String,
@@ -72,7 +71,7 @@ pub struct Param {
 /// assert_eq!(decl.result.as_deref(), Some("bool"));
 /// assert_eq!(decl.to_string(), "declare assign: visit job, move schedule -> bool");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OperationDecl {
     /// Operation name.
     pub name: String,

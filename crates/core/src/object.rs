@@ -1,7 +1,6 @@
 //! Object descriptors and the `fix`/`unfix`/`refix` primitives (§2.2).
 
 use crate::ids::{NodeId, ObjectId};
-use serde::{Deserialize, Serialize};
 
 /// Whether an object may migrate.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// sedentary.unfix(); // type-level fixing cannot be undone at run time
 /// assert!(!sedentary.is_movable());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Mobility {
     /// Permanently sedentary (type attribute); `unfix()` has no effect.
     Sedentary,
@@ -76,7 +75,7 @@ impl Mobility {
 /// Dynamic state (current node, in-transit status, queued calls) lives in the
 /// substrate (`oml-sim` / `oml-runtime`); the descriptor carries the
 /// properties policies may consult.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectDescriptor {
     /// The object's identity.
     pub id: ObjectId,

@@ -7,7 +7,6 @@
 //! [`crate::policies`].
 
 use crate::ids::{BlockId, NodeId, ObjectId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -151,7 +150,7 @@ pub trait MovePolicy: fmt::Debug + Send {
 
 /// The built-in policies, as data (serializable, usable in configs and on
 /// the command line).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// "Without migration": objects never move (baseline in every figure).
     Sedentary,

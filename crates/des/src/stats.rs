@@ -7,8 +7,6 @@
 //! samples are grouped into fixed-size batches whose means are approximately
 //! independent and normal.
 
-use serde::{Deserialize, Serialize};
-
 /// Numerically stable running mean/variance (Welford's algorithm).
 ///
 /// # Example
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
 /// assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -154,7 +152,7 @@ impl OnlineStats {
 }
 
 /// A symmetric confidence interval around a sample mean.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Point estimate.
     pub mean: f64,
@@ -263,7 +261,7 @@ pub fn normal_quantile(p: f64) -> f64 {
 /// let ci = bm.confidence_interval(0.99).unwrap();
 /// assert!((ci.mean - 3.0).abs() < 0.1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchMeans {
     batch_size: u64,
     current_sum: f64,
@@ -362,7 +360,7 @@ impl BatchMeans {
 /// means) has relative half-width ≤ `relative_precision` at the given
 /// `confidence`, subject to a minimum number of batches and an overall
 /// sample cap (so experiments always terminate).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoppingRule {
     /// Target relative half-width, e.g. `0.01` for the paper's 1 %.
     pub relative_precision: f64,
@@ -520,7 +518,7 @@ pub fn replication_seed(base_seed: u64, i: u64) -> u64 {
 /// let v = p95.value().unwrap();
 /// assert!((v - 9_500.0).abs() < 100.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct P2Quantile {
     p: f64,
     /// marker heights
@@ -667,7 +665,7 @@ impl P2Quantile {
 /// assert_eq!(h.bucket_counts()[0], 1);
 /// assert_eq!(h.overflow(), 1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

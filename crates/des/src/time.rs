@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point on the simulated clock.
 ///
 /// Time is a non-negative, finite `f64` measured in multiples of the mean
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(t > SimTime::ZERO);
 /// assert_eq!(t - SimTime::new(1.0), 3.0);
 /// ```
-#[derive(Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
 pub struct SimTime(f64);
 
 impl SimTime {

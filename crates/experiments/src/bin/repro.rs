@@ -1,88 +1,22 @@
-//! `repro` — regenerate the paper's tables and figures.
+//! `repro` — regenerate the paper's tables and figures, run the protocol
+//! checks and the tracked benchmark suites.
 //!
-//! ```text
-//! repro <experiment> [--quick | --paper] [--seed N] [--threads N] [--csv DIR]
-//!
-//! experiments:
-//!   table1     the simulation-parameter glossary (Table 1)
-//!   fig4       analytic §3.2 conflict costs
-//!   fig8       usage-frequency sweep (Figs. 8/10/11)
-//!   fig10      the Fig. 10 view of fig8 (mean duration of one call)
-//!   fig11      the Fig. 11 view of fig8 (mean migration time per call)
-//!   fig12      client scaling, break-even points (Fig. 12)
-//!   fig14      dynamic placement strategies (Fig. 14)
-//!   fig16      attachment modes (Fig. 16)
-//!   fig16x     fig16 plus exclusive attachment (§3.4 extension)
-//!   topology   §4.1 robustness: other network structures
-//!   egoism     §2.4 extension: one egoistic mover vs three polite ones
-//!   break-even §4.2.2 extension: break-even client counts vs the N/M ratio
-//!   visit      §2.3 ablation: move blocks vs visit blocks
-//!   location   §4.1 ablation: the four object-location mechanisms
-//!   faults     robustness extension: degradation under message loss
-//!   availability  recovery extension: client-visible latency/denials across
-//!              a crash → detect → reinstantiate → heal cycle on the real
-//!              runtime, with and without the failure detector
-//!              (--multiprocess runs it instead over real worker OS
-//!              processes on a Unix-domain socket, with a real SIGKILL
-//!              mid-workload; exits nonzero if the denial-rate recovery
-//!              shape regresses)
-//!   durability robustness extension: fraction of objects surviving
-//!              correlated failures (host crash, host+home double crash,
-//!              replica-set-minus-one) as the checkpoint replication
-//!              factor k grows, on the real runtime; checkpoint stores are
-//!              WAL-backed under the --fsync policy (or OML_FSYNC)
-//!              (--cold-restart instead SIGKILLs a whole multi-process
-//!              cluster — coordinator and workers — and cold-starts a
-//!              successor from the on-disk WAL alone, reporting recovered
-//!              fraction and recovery latency per fsync policy plus a
-//!              torn-write negative control the checker must flag; exits
-//!              nonzero on any durability regression)
-//!   check      replay seeded chaos schedules with protocol tracing on and
-//!              verify the paper's invariants plus the lock-order graph
-//!              (--seeds chaos | --seeds N,M,... to pick the schedules;
-//!              --recovery adds the failure-detector schedules and the
-//!              unfenced zombie negative control; --durability adds the
-//!              quorum-replicated checkpoint schedules and the no-repair /
-//!              stale-promotion negative controls; --negative replays the
-//!              negative controls alone and exits nonzero — violations are
-//!              present by construction)
-//!   explore    DPOR model checker over the bundled small-scope matrix:
-//!              the clean configs must enumerate exhaustively with zero
-//!              violations and the seeded-mutation configs must yield
-//!              minimized counterexamples, saved under results/explore/ and
-//!              re-verified by bit-identical replay from disk (--smoke for
-//!              the CI budget, --budget N to cap enumerated schedules,
-//!              --replay FILE to re-execute a saved counterexample)
-//!   bench      fixed quick-precision perf suite; writes BENCH_02.json
-//!              (single-threaded unless --threads says otherwise, so the
-//!              tracked baseline stays comparable across commits)
-//!   scaling    threads-axis scaling suite over the parallel replication
-//!              runner; asserts bit-identical results across thread counts
-//!              and writes BENCH_03.json (--axis N,M,... picks the thread
-//!              counts, default 1,2,4,8; --no-mega skips the standing mega
-//!              world that is otherwise appended to the report)
-//!   mega       the standing large-scale world: >=1M Zipf-popular objects
-//!              on >=1024 nodes across 64 shards of the conservative
-//!              time-windowed engine (--smoke runs the small CI variant)
-//!   <file.csv> replot a previously saved result (no re-run)
-//!   custom     run a scenario loaded with --scenario FILE (key = value
-//!              format; see ScenarioConfig::to_config_text) under all five
-//!              policies
-//!   all        everything above
-//! ```
+//! `repro --help` lists every experiment and flag; both lists are rendered
+//! from the [`EXPERIMENTS`] and [`FLAGS`] tables below, which also drive
+//! dispatch and argument parsing.
 
 use std::env;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use oml_experiments::bench::{
     render_bench_json, render_scaling_json, run_bench_suite, run_scaling_suite,
 };
 use oml_experiments::check::{
-    audit_lock_order, exercise_lock_sites, replay_chaos_seeds, replay_durability_seeds,
-    replay_no_repair_negative, replay_recovery_seeds, replay_stale_promotion_negative,
-    replay_zombie_negative, CHAOS_SEEDS,
+    audit_lock_order, exercise_lock_sites, replay_chaos_seed, replay_durability_seed,
+    replay_negative, replay_recovery_seed, CheckOutcome, NegativeControl, CHAOS_SEEDS,
+    NEGATIVE_CONTROLS,
 };
 use oml_experiments::experiments::{
     availability, availability_multiprocess, break_even_scaling, durability, egoism, faults, fig12,
@@ -95,183 +29,302 @@ use oml_workload::mega::{run_mega, MegaConfig};
 use oml_workload::table1::{table1, value_for};
 use oml_workload::{run_scenario, ScenarioConfig};
 
+/// The parsed command line.
+#[derive(Default)]
 struct Cli {
     experiment: String,
-    opts: RunOptions,
+    /// `Some(true)` for `--paper`, `Some(false)` for `--quick`, `None` when
+    /// neither was given (quick, with a notice).
+    paper: Option<bool>,
+    seed: Option<u64>,
+    /// Set iff `--threads` was given explicitly (bench defaults to 1 for
+    /// baseline comparability, everything else to `default_threads()`).
+    threads: Option<usize>,
     csv_dir: Option<PathBuf>,
     svg_dir: Option<PathBuf>,
     plot: bool,
     scenario: Option<PathBuf>,
-    seeds: Option<String>,
+    /// `--seeds`; `None` means [`CHAOS_SEEDS`].
+    seeds: Option<Vec<u64>>,
     recovery: bool,
     durability_check: bool,
     negative: bool,
     budget: Option<u64>,
     replay: Option<PathBuf>,
-    /// Set iff `--threads` was given explicitly (bench defaults to 1 for
-    /// baseline comparability, everything else to `default_threads()`).
-    threads_override: Option<usize>,
-    axis: Option<String>,
+    axis: Option<Vec<usize>>,
     no_mega: bool,
     smoke: bool,
     multiprocess: bool,
     cold_restart: bool,
-    /// Validated `--fsync` policy string; also exported as `OML_FSYNC` so
-    /// re-executed child processes inherit it.
+    /// Validated `--fsync` policy string; `main` also exports it as
+    /// `OML_FSYNC` so re-executed child processes inherit it.
     fsync: Option<String>,
 }
 
-fn parse_args() -> Result<Cli, String> {
-    let mut experiment = None;
-    let mut opts = RunOptions::quick();
-    let mut precision_set = false;
-    let mut csv_dir = None;
-    let mut svg_dir = None;
-    let mut plot = false;
-    let mut scenario = None;
-    let mut seeds = None;
-    let mut recovery = false;
-    let mut durability_check = false;
-    let mut negative = false;
-    let mut budget = None;
-    let mut replay = None;
-    let mut threads_override = None;
-    let mut axis = None;
-    let mut no_mega = false;
-    let mut smoke = false;
-    let mut multiprocess = false;
-    let mut cold_restart = false;
-    let mut fsync = None;
-
-    let mut args = env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => {
-                opts = RunOptions {
-                    seed: opts.seed,
-                    ..RunOptions::quick()
-                };
-                precision_set = true;
-            }
-            "--paper" => {
-                opts = RunOptions {
-                    seed: opts.seed,
-                    ..RunOptions::paper()
-                };
-                precision_set = true;
-            }
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                opts.seed = v.parse().map_err(|_| format!("bad seed: {v}"))?;
-            }
-            "--threads" => {
-                let v = args.next().ok_or("--threads needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad thread count: {v}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                threads_override = Some(n);
-            }
-            "--axis" => {
-                axis = Some(args.next().ok_or("--axis needs N,M,...")?);
-            }
-            "--no-mega" => no_mega = true,
-            "--smoke" => smoke = true,
-            "--multiprocess" => multiprocess = true,
-            "--cold-restart" => cold_restart = true,
-            "--fsync" => {
-                let v = args.next().ok_or("--fsync needs always|never|batch:N:MS")?;
-                if oml_runtime::FsyncPolicy::parse(&v).is_none() {
-                    return Err(format!("bad fsync policy: {v} (always|never|batch:N:MS)"));
-                }
-                // exported so the worker/seed/recover child processes this
-                // binary re-executes see the same policy
-                env::set_var("OML_FSYNC", &v);
-                fsync = Some(v);
-            }
-            "--csv" => {
-                let v = args.next().ok_or("--csv needs a directory")?;
-                csv_dir = Some(PathBuf::from(v));
-            }
-            "--plot" => plot = true,
-            "--scenario" => {
-                let v = args.next().ok_or("--scenario needs a file")?;
-                scenario = Some(PathBuf::from(v));
-            }
-            "--seeds" => {
-                seeds = Some(args.next().ok_or("--seeds needs `chaos` or N,M,...")?);
-            }
-            "--recovery" => recovery = true,
-            "--durability" => durability_check = true,
-            "--negative" => negative = true,
-            "--budget" => {
-                let v = args.next().ok_or("--budget needs a schedule count")?;
-                budget = Some(v.parse().map_err(|_| format!("bad budget: {v}"))?);
-            }
-            "--replay" => {
-                let v = args.next().ok_or("--replay needs a schedule file")?;
-                replay = Some(PathBuf::from(v));
-            }
-            "--svg" => {
-                let v = args.next().ok_or("--svg needs a directory")?;
-                svg_dir = Some(PathBuf::from(v));
-            }
-            "--help" | "-h" => return Err(String::new()),
-            other if experiment.is_none() && !other.starts_with('-') => {
-                experiment = Some(other.to_owned());
-            }
-            other => return Err(format!("unexpected argument: {other}")),
+impl Cli {
+    /// The run options the flags select. Built from independent fields, so
+    /// the order of `--quick`/`--paper`, `--seed` and `--threads` on the
+    /// command line does not matter.
+    fn opts(&self) -> RunOptions {
+        let base = if self.paper == Some(true) {
+            RunOptions::paper()
+        } else {
+            RunOptions::quick()
+        };
+        RunOptions {
+            seed: self.seed.unwrap_or(base.seed),
+            threads: self.threads.unwrap_or(base.threads),
+            ..base
         }
     }
-    if !precision_set && !matches!(experiment.as_deref(), Some("check" | "explore")) {
-        eprintln!(
-            "(no precision flag given; defaulting to --quick — use --paper for the 1%/p=0.99 rule)"
-        );
+}
+
+/// How a flag takes its value.
+enum Arity {
+    /// A switch: the setter flips a field.
+    Switch(fn(&mut Cli)),
+    /// A flag with a value, shown as the metavar in usage text; the setter
+    /// validates and stores it.
+    Value(&'static str, fn(&mut Cli, &str) -> Result<(), String>),
+}
+
+use Arity::{Switch, Value};
+
+/// One command-line flag.
+struct Flag {
+    name: &'static str,
+    arity: Arity,
+    help: &'static str,
+}
+
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--quick", arity: Switch(|c| c.paper = Some(false)),
+           help: "quick precision, seconds per experiment (the default)" },
+    Flag { name: "--paper", arity: Switch(|c| c.paper = Some(true)),
+           help: "the paper's precision, 1% CI at p = 0.99 (minutes)" },
+    Flag { name: "--seed", arity: Value("N", |c, v| set(&mut c.seed, parse(v, "bad seed")?)),
+           help: "base seed" },
+    Flag { name: "--threads", arity: Value("N", set_threads),
+           help: "worker threads (default: cores, at most 8; bench: 1)" },
+    Flag { name: "--csv", arity: Value("DIR", |c, v| set(&mut c.csv_dir, v.into())),
+           help: "also write every result to DIR/<id>.csv" },
+    Flag { name: "--svg", arity: Value("DIR", |c, v| set(&mut c.svg_dir, v.into())),
+           help: "also render every result to DIR/<id>.svg" },
+    Flag { name: "--plot", arity: Switch(|c| c.plot = true),
+           help: "print an ASCII plot under every table" },
+    Flag { name: "--scenario", arity: Value("FILE", |c, v| set(&mut c.scenario, v.into())),
+           help: "custom: the key = value scenario to run" },
+    Flag { name: "--seeds", arity: Value("chaos|N,M,...", set_seeds),
+           help: "check: the schedules to replay (0x for hex; default chaos)" },
+    Flag { name: "--recovery", arity: Switch(|c| c.recovery = true),
+           help: "check: add the failure-detector schedules and the unfenced control" },
+    Flag { name: "--durability", arity: Switch(|c| c.durability_check = true),
+           help: "check: add the replicated-checkpoint schedules and the no-repair\n\
+                  and stale-promotion controls" },
+    Flag { name: "--negative", arity: Switch(|c| c.negative = true),
+           help: "check: only the negative controls; exits nonzero by construction" },
+    Flag { name: "--budget", arity: Value("N", |c, v| set(&mut c.budget, parse(v, "bad budget")?)),
+           help: "explore: cap on enumerated schedules" },
+    Flag { name: "--replay", arity: Value("FILE", |c, v| set(&mut c.replay, v.into())),
+           help: "explore: re-execute a saved counterexample" },
+    Flag { name: "--axis", arity: Value("N,M,...", set_axis),
+           help: "scaling: the thread counts (default 1,2,4,8)" },
+    Flag { name: "--no-mega", arity: Switch(|c| c.no_mega = true),
+           help: "scaling: skip the standing mega world" },
+    Flag { name: "--smoke", arity: Switch(|c| c.smoke = true),
+           help: "explore, scaling, mega: the small CI variant" },
+    Flag { name: "--multiprocess", arity: Switch(|c| c.multiprocess = true),
+           help: "availability: over worker OS processes, with a real SIGKILL" },
+    Flag { name: "--cold-restart", arity: Switch(|c| c.cold_restart = true),
+           help: "durability: SIGKILL every process, cold-start from the WAL" },
+    Flag { name: "--fsync", arity: Value("always|never|batch:N:MS", set_fsync),
+           help: "WAL fsync policy (exported as OML_FSYNC)" },
+];
+
+fn set<T>(slot: &mut Option<T>, value: T) -> Result<(), String> {
+    *slot = Some(value);
+    Ok(())
+}
+
+fn parse<T: std::str::FromStr>(value: &str, bad: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("{bad}: {value}"))
+}
+
+fn set_threads(cli: &mut Cli, value: &str) -> Result<(), String> {
+    match parse(value, "bad thread count")? {
+        0 => Err("--threads must be at least 1".into()),
+        n => set(&mut cli.threads, n),
     }
-    // applied last so `--threads 4 --paper` and `--paper --threads 4` agree
-    if let Some(n) = threads_override {
-        opts.threads = n;
+}
+
+fn set_seeds(cli: &mut Cli, value: &str) -> Result<(), String> {
+    if value == "chaos" {
+        return set(&mut cli.seeds, CHAOS_SEEDS.to_vec());
     }
-    Ok(Cli {
-        experiment: experiment.ok_or("an experiment name is required")?,
-        opts,
-        csv_dir,
-        svg_dir,
-        plot,
-        scenario,
-        seeds,
-        recovery,
-        durability_check,
-        negative,
-        budget,
-        replay,
-        threads_override,
-        axis,
-        no_mega,
-        smoke,
-        multiprocess,
-        cold_restart,
-        fsync,
-    })
+    let seeds = parse_list(value, "--seeds", "seed", |s| match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
+    })?;
+    set(&mut cli.seeds, seeds)
+}
+
+fn set_axis(cli: &mut Cli, value: &str) -> Result<(), String> {
+    let axis = parse_list(value, "--axis", "thread count", |s| {
+        s.parse().ok().filter(|&n: &usize| n > 0)
+    })?;
+    set(&mut cli.axis, axis)
+}
+
+fn set_fsync(cli: &mut Cli, value: &str) -> Result<(), String> {
+    if oml_runtime::FsyncPolicy::parse(value).is_none() {
+        return Err(format!(
+            "bad fsync policy: {value} (always|never|batch:N:MS)"
+        ));
+    }
+    set(&mut cli.fsync, value.to_owned())
+}
+
+/// Parses the comma-separated list `value` of `flag`, naming the first
+/// item `item` rejects as a bad `what`.
+fn parse_list<T>(
+    value: &str,
+    flag: &str,
+    what: &str,
+    item: fn(&str) -> Option<T>,
+) -> Result<Vec<T>, String> {
+    value
+        .split(',')
+        .map(str::trim)
+        .map(|part| item(part).ok_or_else(|| format!("bad {what} in {flag}: {part}")))
+        .collect()
+}
+
+/// Parses the arguments after the program name; `Ok(None)` asks for help.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<Cli>, String> {
+    let mut cli = Cli::default();
+    let mut experiment = None;
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if arg == "--help" || arg == "-h" {
+            return Ok(None);
+        }
+        match FLAGS.iter().find(|f| f.name == arg).map(|f| &f.arity) {
+            Some(Switch(set)) => set(&mut cli),
+            Some(Value(metavar, set)) => {
+                let value = args.next().ok_or(format!("{arg} needs {metavar}"))?;
+                set(&mut cli, &value)?;
+            }
+            None if experiment.is_none() && !arg.starts_with('-') => experiment = Some(arg),
+            None => return Err(format!("unexpected argument: {arg}")),
+        }
+    }
+    cli.experiment = experiment.ok_or("an experiment name is required")?;
+    Ok(Some(cli))
+}
+
+/// One experiment `repro` can run.
+struct Experiment {
+    name: &'static str,
+    /// Whether `repro all` runs it.
+    in_all: bool,
+    run: fn(&Cli) -> ExitCode,
+    help: &'static str,
+}
+
+#[rustfmt::skip]
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment { name: "table1", in_all: true, run: print_table1,
+                 help: "the simulation-parameter glossary (Table 1)" },
+    Experiment { name: "fig4", in_all: true, run: |c| emit(&fig4_cost(), c),
+                 help: "analytic §3.2 conflict costs" },
+    Experiment { name: "fig8", in_all: true, run: |c| emit(&fig8(&c.opts()), c),
+                 help: "usage-frequency sweep (Figs. 8/10/11)" },
+    Experiment { name: "fig10", in_all: false, run: |c| emit(&fig10(&c.opts()), c),
+                 help: "the Fig. 10 view of fig8 (mean duration of one call)" },
+    Experiment { name: "fig11", in_all: false, run: |c| emit(&fig11(&c.opts()), c),
+                 help: "the Fig. 11 view of fig8 (mean migration time per call)" },
+    Experiment { name: "fig12", in_all: true, run: |c| emit(&fig12(&c.opts()), c),
+                 help: "client scaling, break-even points (Fig. 12)" },
+    Experiment { name: "fig14", in_all: true, run: |c| emit(&fig14(&c.opts()), c),
+                 help: "dynamic placement strategies (Fig. 14)" },
+    Experiment { name: "fig16", in_all: true, run: |c| emit(&fig16(&c.opts()), c),
+                 help: "attachment modes (Fig. 16)" },
+    Experiment { name: "fig16x", in_all: true, run: |c| emit(&fig16_exclusive(&c.opts()), c),
+                 help: "fig16 plus exclusive attachment (§3.4 extension)" },
+    Experiment { name: "topology", in_all: true, run: |c| emit(&topology_ablation(&c.opts()), c),
+                 help: "§4.1 robustness: other network structures" },
+    Experiment { name: "egoism", in_all: true, run: |c| emit(&egoism(&c.opts()), c),
+                 help: "§2.4 extension: one egoistic mover vs three polite ones" },
+    Experiment { name: "break-even", in_all: true, run: |c| emit(&break_even_scaling(&c.opts()), c),
+                 help: "§4.2.2 extension: break-even client counts vs the N/M ratio" },
+    Experiment { name: "visit", in_all: true, run: |c| emit(&visit_ablation(&c.opts()), c),
+                 help: "§2.3 ablation: move blocks vs visit blocks" },
+    Experiment { name: "location", in_all: true, run: |c| emit(&location_ablation(&c.opts()), c),
+                 help: "§4.1 ablation: the four object-location mechanisms" },
+    Experiment { name: "faults", in_all: true, run: |c| emit(&faults(&c.opts()), c),
+                 help: "robustness extension: degradation under message loss" },
+    Experiment { name: "availability", in_all: true, run: run_availability,
+                 help: "client-visible latency and denials across a crash → detect →\n\
+                        reinstantiate → heal cycle on the real runtime, with and\n\
+                        without the failure detector" },
+    Experiment { name: "durability", in_all: true, run: run_durability,
+                 help: "objects surviving correlated failures as the checkpoint\n\
+                        replication factor k grows, WAL-backed under --fsync" },
+    Experiment { name: "check", in_all: false, run: run_check,
+                 help: "replay seeded chaos schedules with protocol tracing on;\n\
+                        verify the paper's invariants and the lock-order graph" },
+    Experiment { name: "explore", in_all: false, run: run_explore,
+                 help: "DPOR model checker over the bundled small-scope matrix;\n\
+                        counterexamples are minimized into results/explore/" },
+    Experiment { name: "bench", in_all: false, run: run_bench,
+                 help: "fixed quick-precision perf suite; writes BENCH_02.json" },
+    Experiment { name: "scaling", in_all: false, run: run_scaling,
+                 help: "threads-axis scaling suite; writes BENCH_03.json" },
+    Experiment { name: "mega", in_all: false, run: run_mega_world,
+                 help: "the standing >=1M-object, >=1024-node sharded world" },
+    Experiment { name: "custom", in_all: false, run: run_custom,
+                 help: "run --scenario FILE under all five policies" },
+    Experiment { name: "all", in_all: false, run: run_all,
+                 help: "every experiment marked *, in order" },
+];
+
+/// The `--help` text, rendered from [`EXPERIMENTS`] and [`FLAGS`].
+fn usage() -> String {
+    fn row(out: &mut String, marker: char, left: &str, help: &str) {
+        for (i, line) in help.lines().enumerate() {
+            let (marker, left) = if i == 0 { (marker, left) } else { (' ', "") };
+            out.push_str(&format!("{marker} {left:<32} {line}\n"));
+        }
+    }
+    let mut out = String::from(
+        "usage: repro <experiment> [flags]\n       repro FILE.csv [flags]   replot a saved result\n\nexperiments (* = run by `all`):\n",
+    );
+    for e in EXPERIMENTS {
+        row(&mut out, if e.in_all { '*' } else { ' ' }, e.name, e.help);
+    }
+    out.push_str("\nflags:\n");
+    for f in FLAGS {
+        match f.arity {
+            Switch(_) => row(&mut out, ' ', f.name, f.help),
+            Value(metavar, _) => row(&mut out, ' ', &format!("{} {metavar}", f.name), f.help),
+        }
+    }
+    row(&mut out, ' ', "--help, -h", "print this text");
+    out
 }
 
 /// One-line JSON record of the fsync policy an experiment actually ran
-/// under — `--fsync` if given, else `OML_FSYNC`, else the default.
-fn print_fsync_summary(experiment: &str, flag: Option<&str>) {
-    let policy = flag.map_or_else(
-        || {
-            env::var("OML_FSYNC")
-                .ok()
-                .and_then(|v| oml_runtime::FsyncPolicy::parse(v.trim()))
-                .unwrap_or_default()
-                .to_string()
-        },
-        str::to_owned,
-    );
+/// under: `OML_FSYNC` (which `--fsync` sets), else the default.
+fn print_fsync_summary(experiment: &str) {
+    let policy = env::var("OML_FSYNC")
+        .ok()
+        .and_then(|v| oml_runtime::FsyncPolicy::parse(v.trim()))
+        .unwrap_or_default();
     println!("{{\"experiment\": \"{experiment}\", \"fsync\": \"{policy}\"}}");
 }
 
-fn print_table1() {
+fn print_table1(_: &Cli) -> ExitCode {
     println!("# Table 1 — relevant simulation parameters");
     println!(
         "{:>8}  {:<38} {:>10}  {:>12} {:>12} {:>12} {:>12}",
@@ -298,24 +351,66 @@ fn print_table1() {
         }
         println!();
     }
+    println!();
+    ExitCode::SUCCESS
 }
 
-fn emit(result: &ExperimentResult, cli: &Cli) {
-    let csv_dir = cli.csv_dir.as_ref();
+fn fig10(opts: &RunOptions) -> ExperimentResult {
+    fig8(opts).derive("fig10", "mean duration of one call", |m| m.call_time)
+}
+
+fn fig11(opts: &RunOptions) -> ExperimentResult {
+    fig8(opts).derive("fig11", "mean migration time per call", |m| {
+        m.migration_time
+    })
+}
+
+/// `availability`; with `--multiprocess` over worker OS processes on a
+/// Unix socket with a real SIGKILL mid-workload, which exits nonzero if the
+/// denial-rate recovery shape regresses.
+fn run_availability(cli: &Cli) -> ExitCode {
+    if !cli.multiprocess {
+        return emit(&availability(&cli.opts()), cli);
+    }
+    let code = emit(&availability_multiprocess(&cli.opts()), cli);
+    print_fsync_summary("availability-multiprocess");
+    code
+}
+
+/// `durability`; with `--cold-restart` a whole multi-process cluster is
+/// SIGKILLed and a successor cold-starts from the on-disk WAL alone, with a
+/// torn-write control the checker must flag (nonzero exit on any
+/// durability regression).
+fn run_durability(cli: &Cli) -> ExitCode {
+    if cli.cold_restart {
+        return oml_experiments::cold::run_cold_restart(cli.fsync.as_deref());
+    }
+    let code = emit(&durability(&cli.opts()), cli);
+    print_fsync_summary("durability");
+    code
+}
+
+/// `all`: every experiment with `in_all` set, in table order.
+fn run_all(cli: &Cli) -> ExitCode {
+    let mut code = ExitCode::SUCCESS;
+    for e in EXPERIMENTS.iter().filter(|e| e.in_all) {
+        if (e.run)(cli) != ExitCode::SUCCESS {
+            code = ExitCode::FAILURE;
+        }
+    }
+    code
+}
+
+/// Prints `result` (and writes the requested CSV/SVG files). Write failures
+/// are reported but not fatal, so this always succeeds.
+fn emit(result: &ExperimentResult, cli: &Cli) -> ExitCode {
     println!("{}", result.to_ascii_table());
     if cli.plot {
         println!("{}", render_plot(result, 64, 20));
     }
     if let Some(dir) = &cli.svg_dir {
-        if let Err(e) = fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-        } else {
-            let path = dir.join(format!("{}.svg", result.id));
-            match fs::write(&path, render_svg(result, &SvgOptions::default())) {
-                Ok(()) => println!("wrote {}", path.display()),
-                Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-            }
-        }
+        let svg = render_svg(result, &SvgOptions::default());
+        let _ = write_file(&dir.join(format!("{}.svg", result.id)), &svg);
     }
     if result.id == "fig12" {
         if let Some(x) = result.crossover("migration", "without migration") {
@@ -326,155 +421,105 @@ fn emit(result: &ExperimentResult, cli: &Cli) {
         }
         println!();
     }
-    if let Some(dir) = csv_dir {
-        if let Err(e) = fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return;
+    if let Some(dir) = &cli.csv_dir {
+        let _ = write_file(&dir.join(format!("{}.csv", result.id)), &result.to_csv());
+    }
+    ExitCode::SUCCESS
+}
+
+/// Writes `contents` to `path`, creating its directory, and reports the
+/// outcome.
+fn write_file(path: &Path, contents: &str) -> ExitCode {
+    let dir = path.parent().unwrap_or(Path::new(""));
+    match fs::create_dir_all(dir).and_then(|()| fs::write(path, contents)) {
+        Ok(()) => {
+            println!("wrote {}", path.display());
+            ExitCode::SUCCESS
         }
-        let path = dir.join(format!("{}.csv", result.id));
-        match fs::write(&path, result.to_csv()) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("cannot write {}: {e}", path.display()),
+        Err(e) => {
+            eprintln!("cannot write {}: {e}", path.display());
+            ExitCode::FAILURE
         }
     }
 }
 
-/// Replays the requested chaos seeds with tracing on, prints every
-/// checker verdict and the lock-order audit, and reports overall success.
-/// With `recovery`, additionally replays the failure-detector schedules
-/// (crash → declare-dead → reinstantiate, plus a scripted zombie restart)
-/// and the unfenced negative control, which must be *flagged*. With
-/// `durability`, additionally replays the quorum-replicated checkpoint
-/// schedules (host+home double crash under duplicated checkpoint traffic)
-/// and the no-repair / stale-promotion negative controls, which must be
-/// *flagged*.
-/// The `--negative` path: replays the three rigged negative controls alone.
-/// Violations are present *by construction*, so this path always exits
-/// nonzero — the exit code uniformly means "violations found", whether they
-/// were hoped for or not. A control that comes back clean is reported too
-/// (the invariant meant to catch it is not biting), and still exits
-/// nonzero.
-fn run_check_negative(seed: u64) -> ExitCode {
-    println!("# repro check --negative — rigged controls, violations expected");
-    let mut all_flagged = true;
-    for (name, outcome) in [
-        ("unfenced zombie", replay_zombie_negative(seed)),
-        ("no-repair", replay_no_repair_negative(seed)),
-        ("stale-promotion", replay_stale_promotion_negative(seed)),
-    ] {
-        if outcome.report.is_clean() {
-            eprintln!("{name}: CLEAN — the invariant meant to catch it is not biting");
-            all_flagged = false;
-        } else {
-            println!(
-                "{name}: flagged as expected ({} violation(s))",
-                outcome.report.violations.len()
-            );
-        }
-    }
-    if all_flagged {
-        println!("\nall negative controls flagged; exiting nonzero (violations present)");
+/// Replays one negative control under `seed` and reports it; `true` iff the
+/// checker flagged it, as it must.
+fn negative_control_flagged(control: &NegativeControl, seed: u64) -> bool {
+    let outcome = replay_negative(control.mutation, seed);
+    if outcome.report.is_clean() {
+        eprintln!(
+            "\n{} negative control came back CLEAN — the `{}` invariant is not biting",
+            control.name, control.violation
+        );
+        false
     } else {
-        eprintln!("\nsome negative controls were NOT flagged");
+        println!(
+            "\n{} negative control: flagged as expected ({} violation(s))",
+            control.name,
+            outcome.report.violations.len()
+        );
+        true
     }
-    ExitCode::FAILURE
 }
 
-fn run_check(seeds_arg: Option<&str>, recovery: bool, durability: bool) -> ExitCode {
-    let seeds: Vec<u64> = match seeds_arg {
-        None | Some("chaos") => CHAOS_SEEDS.to_vec(),
-        Some(list) => {
-            let mut parsed = Vec::new();
-            for part in list.split(',') {
-                let part = part.trim();
-                let seed = if let Some(hex) = part.strip_prefix("0x") {
-                    u64::from_str_radix(hex, 16)
-                } else {
-                    part.parse()
-                };
-                match seed {
-                    Ok(s) => parsed.push(s),
-                    Err(_) => {
-                        eprintln!("error: bad seed in --seeds: {part}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            parsed
+/// The `check` experiment. Replays the requested chaos seeds with tracing
+/// on, prints every checker verdict and the lock-order audit, and reports
+/// overall success. `--recovery` adds the failure-detector schedules
+/// (crash → declare-dead → reinstantiate, plus a scripted zombie restart)
+/// and the unfenced control; `--durability` adds the quorum-replicated
+/// checkpoint schedules (host+home double crash under duplicated checkpoint
+/// traffic) and the no-repair / stale-promotion controls. Every negative
+/// control must be *flagged*.
+///
+/// `--negative` replays the three controls alone. Violations are present
+/// *by construction*, so that path always exits nonzero — the exit code
+/// uniformly means "violations found", whether they were hoped for or not.
+fn run_check(cli: &Cli) -> ExitCode {
+    if cli.negative {
+        println!("# repro check --negative — rigged controls, violations expected");
+        let mut all_flagged = true;
+        for control in &NEGATIVE_CONTROLS {
+            all_flagged &= negative_control_flagged(control, CHAOS_SEEDS[0]);
         }
+        if all_flagged {
+            println!("\nall negative controls flagged; exiting nonzero (violations present)");
+        } else {
+            eprintln!("\nsome negative controls were NOT flagged");
+        }
+        return ExitCode::FAILURE;
+    }
+    let seeds = cli.seeds.as_deref().unwrap_or(CHAOS_SEEDS);
+    // the first control belongs to --recovery, the other two to --durability
+    let (recovery_controls, durability_controls) = NEGATIVE_CONTROLS.split_at(1);
+
+    // prints every verdict; true iff all are clean
+    let all_clean = |label: &str, replay: fn(u64) -> CheckOutcome| {
+        let mut clean = true;
+        for &seed in seeds {
+            let outcome = replay(seed);
+            println!("\n{label}{seed:#x}:\n{}", outcome.report);
+            clean &= outcome.report.is_clean();
+        }
+        clean
     };
 
     println!("# repro check — protocol invariants under seeded chaos");
-    let mut clean = true;
-    for outcome in replay_chaos_seeds(&seeds) {
-        println!("\nseed {:#x}:", outcome.seed);
-        println!("{}", outcome.report);
-        clean &= outcome.report.is_clean();
-    }
+    let mut clean = all_clean("seed ", replay_chaos_seed);
 
-    if recovery {
+    if cli.recovery {
         println!("\n# repro check --recovery — fenced reinstantiation under chaos");
-        for outcome in replay_recovery_seeds(&seeds) {
-            println!("\nrecovery seed {:#x}:", outcome.seed);
-            println!("{}", outcome.report);
-            clean &= outcome.report.is_clean();
-        }
-        // the negative control: without fencing the zombie double-installs,
-        // and the stale-incarnation invariant MUST catch it
-        let negative = replay_zombie_negative(seeds[0]);
-        if negative.report.is_clean() {
-            eprintln!(
-                "\nunfenced zombie negative control came back CLEAN — the \
-                 stale-incarnation invariant is not biting"
-            );
-            clean = false;
-        } else {
-            println!(
-                "\nunfenced zombie negative control: flagged as expected \
-                 ({} violation(s))",
-                negative.report.violations.len()
-            );
+        clean &= all_clean("recovery seed ", replay_recovery_seed);
+        for control in recovery_controls {
+            clean &= negative_control_flagged(control, seeds[0]);
         }
     }
 
-    if durability {
+    if cli.durability_check {
         println!("\n# repro check --durability — quorum-replicated checkpoints");
-        for outcome in replay_durability_seeds(&seeds) {
-            println!("\ndurability seed {:#x}:", outcome.seed);
-            println!("{}", outcome.report);
-            clean &= outcome.report.is_clean();
-        }
-        // negative control one: with the repair sweep off, a declared death
-        // must leave a replica deficit the checker flags
-        let no_repair = replay_no_repair_negative(seeds[0]);
-        if no_repair.report.is_clean() {
-            eprintln!(
-                "\nno-repair negative control came back CLEAN — the \
-                 replication-factor invariant is not biting"
-            );
-            clean = false;
-        } else {
-            println!(
-                "\nno-repair negative control: flagged as expected \
-                 ({} violation(s))",
-                no_repair.report.violations.len()
-            );
-        }
-        // negative control two: rigged stalest-survivor promotion must trip
-        // the freshness invariant when a quorum-acked copy survives
-        let stale = replay_stale_promotion_negative(seeds[0]);
-        if stale.report.is_clean() {
-            eprintln!(
-                "\nstale-promotion negative control came back CLEAN — the \
-                 freshness invariant is not biting"
-            );
-            clean = false;
-        } else {
-            println!(
-                "\nstale-promotion negative control: flagged as expected \
-                 ({} violation(s))",
-                stale.report.violations.len()
-            );
+        clean &= all_clean("durability seed ", replay_durability_seed);
+        for control in durability_controls {
+            clean &= negative_control_flagged(control, seeds[0]);
         }
     }
 
@@ -568,6 +613,43 @@ fn run_explore(cli: &Cli) -> ExitCode {
     }
 }
 
+/// The `bench` experiment. The bench suite is the tracked baseline: quick
+/// precision and one thread unless overridden explicitly, so numbers stay
+/// comparable across commits. The JSON records whatever precision and
+/// thread count actually ran.
+fn run_bench(cli: &Cli) -> ExitCode {
+    let opts = RunOptions {
+        seed: cli.opts().seed,
+        threads: cli.threads.unwrap_or(1),
+        ..RunOptions::quick()
+    };
+    let report = run_bench_suite(&opts);
+    for e in &report.experiments {
+        println!(
+            "{:<8} {:>8.3} s  {:>10} events  {:>12.0} events/s",
+            e.name, e.wall_s, e.events, e.events_per_sec
+        );
+    }
+    write_file(
+        Path::new("BENCH_02.json"),
+        &render_bench_json(&report, &opts),
+    )
+}
+
+fn run_mega_world(cli: &Cli) -> ExitCode {
+    let opts = cli.opts();
+    print_mega(&run_mega(&mega_config(cli), opts.seed, opts.threads));
+    ExitCode::SUCCESS
+}
+
+fn mega_config(cli: &Cli) -> MegaConfig {
+    if cli.smoke {
+        MegaConfig::smoke()
+    } else {
+        MegaConfig::standing()
+    }
+}
+
 fn print_mega(report: &oml_workload::mega::MegaReport) {
     println!("# repro mega — the standing large-scale world");
     println!(
@@ -597,35 +679,21 @@ fn print_mega(report: &oml_workload::mega::MegaReport) {
 /// count, demand bit-identical metrics, append a mega-world run unless
 /// `--no-mega`, and write `BENCH_03.json`.
 fn run_scaling(cli: &Cli) -> ExitCode {
-    let axis: Vec<usize> = match &cli.axis {
-        None => vec![1, 2, 4, 8],
-        Some(list) => {
-            let mut parsed = Vec::new();
-            for part in list.split(',') {
-                match part.trim().parse::<usize>() {
-                    Ok(n) if n > 0 => parsed.push(n),
-                    _ => {
-                        eprintln!("error: bad thread count in --axis: {part}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            parsed
-        }
-    };
-    if axis.is_empty() {
-        eprintln!("error: --axis needs at least one thread count");
-        return ExitCode::FAILURE;
-    }
+    let axis = cli.axis.clone().unwrap_or_else(|| vec![1, 2, 4, 8]);
+    let opts = cli.opts();
 
     println!("# repro scaling — replication runner over threads {axis:?}");
-    let report = run_scaling_suite(&cli.opts, &axis);
+    let report = run_scaling_suite(&opts, &axis);
     let base = report.runs.first().map_or(0.0, |r| r.wall_s);
-    for r in &report.runs {
-        let speedup = if r.wall_s > 0.0 { base / r.wall_s } else { 0.0 };
+    let speedups: Vec<f64> = report
+        .runs
+        .iter()
+        .map(|r| if r.wall_s > 0.0 { base / r.wall_s } else { 0.0 })
+        .collect();
+    for (r, speedup) in report.runs.iter().zip(&speedups) {
         println!(
-            "{:>2} thread(s): {:>8.3} s  {:>10} events  {:>12.0} events/s  x{:.2}  fp {:016x}",
-            r.threads, r.wall_s, r.events, r.events_per_sec, speedup, r.fingerprint
+            "{:>2} thread(s): {:>8.3} s  {:>10} events  {:>12.0} events/s  x{speedup:.2}  fp {:016x}",
+            r.threads, r.wall_s, r.events, r.events_per_sec, r.fingerprint
         );
     }
     println!(
@@ -633,30 +701,20 @@ fn run_scaling(cli: &Cli) -> ExitCode {
         report.bit_identical, report.host_cores
     );
 
-    let mega = if cli.no_mega {
-        None
-    } else {
-        let cfg = if cli.smoke {
-            MegaConfig::smoke()
-        } else {
-            MegaConfig::standing()
-        };
+    let mega = (!cli.no_mega).then(|| {
         let threads = cli
-            .threads_override
+            .threads
             .unwrap_or_else(|| axis.iter().copied().max().unwrap_or(1));
-        let m = run_mega(&cfg, cli.opts.seed, threads);
+        let m = run_mega(&mega_config(cli), opts.seed, threads);
         println!();
         print_mega(&m);
-        Some(m)
-    };
+        m
+    });
 
-    let json = render_scaling_json(&report, mega.as_ref(), &cli.opts);
-    let path = PathBuf::from("BENCH_03.json");
-    if let Err(e) = fs::write(&path, json) {
-        eprintln!("cannot write {}: {e}", path.display());
+    let json = render_scaling_json(&report, mega.as_ref(), &opts);
+    if write_file(Path::new("BENCH_03.json"), &json) != ExitCode::SUCCESS {
         return ExitCode::FAILURE;
     }
-    println!("wrote {}", path.display());
 
     if !report.bit_identical {
         eprintln!("error: thread counts disagreed — the runner is not deterministic");
@@ -665,12 +723,7 @@ fn run_scaling(cli: &Cli) -> ExitCode {
     // the speedup check only means something when the host can actually
     // run two workers at once
     if report.host_cores >= 2 && axis.len() >= 2 {
-        let best = report
-            .runs
-            .iter()
-            .skip(1)
-            .map(|r| if r.wall_s > 0.0 { base / r.wall_s } else { 0.0 })
-            .fold(0.0f64, f64::max);
+        let best = speedups.iter().skip(1).copied().fold(0.0f64, f64::max);
         if best <= 1.0 {
             eprintln!(
                 "error: no speedup over 1 thread on a {}-core host",
@@ -680,6 +733,77 @@ fn run_scaling(cli: &Cli) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+/// The `custom` experiment: the `--scenario` file under every policy.
+fn run_custom(cli: &Cli) -> ExitCode {
+    use oml_core::attach::AttachmentMode;
+    use oml_core::policy::PolicyKind;
+    use oml_sim::metrics::MetricsRow;
+    use std::collections::BTreeMap;
+
+    let Some(path) = &cli.scenario else {
+        eprintln!("error: `custom` needs --scenario FILE");
+        return ExitCode::FAILURE;
+    };
+    let Some(text) = read_file(path) else {
+        return ExitCode::FAILURE;
+    };
+    let config = match ScenarioConfig::from_config_text(&text) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let opts = cli.opts();
+    let mut series = BTreeMap::new();
+    for kind in PolicyKind::ALL {
+        let out = run_scenario(
+            &config,
+            kind,
+            AttachmentMode::Unrestricted,
+            opts.stopping,
+            opts.seed,
+        );
+        series.insert(kind.to_string(), MetricsRow::from(&out.metrics));
+    }
+    let result = ExperimentResult {
+        id: "custom".into(),
+        title: format!("custom scenario `{}`", config.name),
+        x_label: "clients".into(),
+        y_label: "mean communication time per call".into(),
+        points: vec![oml_experiments::SweepPoint {
+            x: f64::from(config.clients),
+            series,
+        }],
+    };
+    emit(&result, cli)
+}
+
+/// Replots a previously saved result without re-running it.
+fn replot(path: &str, cli: &Cli) -> ExitCode {
+    let id = PathBuf::from(path)
+        .file_stem()
+        .map(|s| s.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "reloaded".into());
+    let Some(csv) = read_file(Path::new(path)) else {
+        return ExitCode::FAILURE;
+    };
+    match ExperimentResult::from_csv(&id, &csv) {
+        Ok(result) => emit(&result, cli),
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Reads `path`, reporting a failure.
+fn read_file(path: &Path) -> Option<String> {
+    fs::read_to_string(path)
+        .map_err(|e| eprintln!("cannot read {}: {e}", path.display()))
+        .ok()
 }
 
 fn main() -> ExitCode {
@@ -695,184 +819,175 @@ fn main() -> ExitCode {
     if let Some(code) = oml_experiments::cold::maybe_run_child() {
         return code;
     }
-    let cli = match parse_args() {
-        Ok(cli) => cli,
+    let cli = match parse_args(env::args().skip(1)) {
+        Ok(Some(cli)) => cli,
+        Ok(None) => {
+            print!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}\n");
-            }
-            eprintln!(
-                "usage: repro <table1|fig4|fig8|fig10|fig11|fig12|fig14|fig16|fig16x|availability|durability|check|explore|bench|scaling|mega|...|all> \
-                 [--quick|--paper] [--seed N] [--threads N] [--seeds chaos|N,M,...] [--recovery] [--durability] [--negative] \
-                 [--budget N] [--replay FILE] [--axis N,M,...] [--no-mega] [--smoke] [--multiprocess] \
-                 [--cold-restart] [--fsync always|never|batch:N:MS] [--csv DIR] [--svg DIR] [--plot]"
-            );
+            eprintln!("error: {msg}\n\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
+    if let Some(policy) = &cli.fsync {
+        // the worker/seed/recover child processes this binary re-executes
+        // read the policy from the environment
+        env::set_var("OML_FSYNC", policy);
+    }
+    if cli.paper.is_none() && !matches!(cli.experiment.as_str(), "check" | "explore") {
+        eprintln!(
+            "(no precision flag given; defaulting to --quick — use --paper for the 1%/p=0.99 rule)"
+        );
+    }
 
-    let run_one = |name: &str| -> bool {
-        match name {
-            "table1" => {
-                print_table1();
-                println!();
-            }
-            "fig4" => emit(&fig4_cost(), &cli),
-            "fig8" => emit(&fig8(&cli.opts), &cli),
-            "fig10" => emit(
-                &fig8(&cli.opts).derive("fig10", "mean duration of one call", |m| m.call_time),
-                &cli,
-            ),
-            "fig11" => emit(
-                &fig8(&cli.opts).derive("fig11", "mean migration time per call", |m| {
-                    m.migration_time
-                }),
-                &cli,
-            ),
-            "fig12" => emit(&fig12(&cli.opts), &cli),
-            "fig14" => emit(&fig14(&cli.opts), &cli),
-            "fig16" => emit(&fig16(&cli.opts), &cli),
-            "fig16x" => emit(&fig16_exclusive(&cli.opts), &cli),
-            "topology" => emit(&topology_ablation(&cli.opts), &cli),
-            "egoism" => emit(&egoism(&cli.opts), &cli),
-            "break-even" => emit(&break_even_scaling(&cli.opts), &cli),
-            "visit" => emit(&visit_ablation(&cli.opts), &cli),
-            "location" => emit(&location_ablation(&cli.opts), &cli),
-            "faults" => emit(&faults(&cli.opts), &cli),
-            "availability" if cli.multiprocess => {
-                emit(&availability_multiprocess(&cli.opts), &cli);
-                print_fsync_summary("availability-multiprocess", cli.fsync.as_deref());
-            }
-            "availability" => emit(&availability(&cli.opts), &cli),
-            "durability" => {
-                emit(&durability(&cli.opts), &cli);
-                print_fsync_summary("durability", cli.fsync.as_deref());
-            }
-            _ => return false,
+    if cli.experiment.ends_with(".csv") {
+        return replot(&cli.experiment, &cli);
+    }
+    match EXPERIMENTS.iter().find(|e| e.name == cli.experiment) {
+        Some(e) => (e.run)(&cli),
+        None => {
+            eprintln!("unknown experiment: {}", cli.experiment);
+            ExitCode::FAILURE
         }
-        true
-    };
+    }
+}
 
-    match cli.experiment.as_str() {
-        "durability" if cli.cold_restart => {
-            oml_experiments::cold::run_cold_restart(cli.fsync.as_deref())
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<Cli>, String> {
+        parse_args(args.iter().map(|&a| a.to_owned()))
+    }
+
+    fn parse_ok(args: &[&str]) -> Cli {
+        parse(args)
+            .unwrap_or_else(|e| panic!("{args:?}: {e}"))
+            .expect("not a help request")
+    }
+
+    /// A value every flag with `metavar` accepts.
+    fn sample_value(metavar: &str) -> &'static str {
+        match metavar {
+            "N" => "4",
+            "N,M,..." => "1,2",
+            "chaos|N,M,..." => "1,0x2",
+            "always|never|batch:N:MS" => "batch:8:50",
+            "DIR" | "FILE" => "some/path",
+            other => panic!("no sample value for metavar {other}"),
         }
-        "check" if cli.negative => run_check_negative(CHAOS_SEEDS[0]),
-        "check" => run_check(cli.seeds.as_deref(), cli.recovery, cli.durability_check),
-        "explore" => run_explore(&cli),
-        "bench" => {
-            // The bench suite is the tracked baseline: quick precision and
-            // one thread unless overridden explicitly, so numbers stay
-            // comparable across commits. The JSON records whatever precision
-            // and thread count actually ran.
-            let opts = RunOptions {
-                seed: cli.opts.seed,
-                threads: cli.threads_override.unwrap_or(1),
-                ..RunOptions::quick()
-            };
-            let report = run_bench_suite(&opts);
-            for e in &report.experiments {
-                println!(
-                    "{:<8} {:>8.3} s  {:>10} events  {:>12.0} events/s",
-                    e.name, e.wall_s, e.events, e.events_per_sec
-                );
+    }
+
+    #[test]
+    fn every_flag_parses() {
+        for flag in FLAGS {
+            let mut args = vec!["fig4", flag.name];
+            if let Value(metavar, _) = flag.arity {
+                args.push(sample_value(metavar));
+                let missing = parse(&args[..2]).err();
+                assert_eq!(missing, Some(format!("{} needs {metavar}", flag.name)));
             }
-            let json = render_bench_json(&report, &opts);
-            let path = PathBuf::from("BENCH_02.json");
-            match fs::write(&path, json) {
-                Ok(()) => {
-                    println!("wrote {}", path.display());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    ExitCode::FAILURE
-                }
-            }
+            let cli = parse_ok(&args);
+            assert_eq!(cli.experiment, "fig4", "{}", flag.name);
         }
-        "scaling" => run_scaling(&cli),
-        "mega" => {
-            let cfg = if cli.smoke {
-                MegaConfig::smoke()
-            } else {
-                MegaConfig::standing()
-            };
-            let report = run_mega(&cfg, cli.opts.seed, cli.opts.threads);
-            print_mega(&report);
-            ExitCode::SUCCESS
+        let cli = parse_ok(&["check", "--seeds", "1,0x2", "--axis", "1, 2"]);
+        assert_eq!(cli.seeds, Some(vec![1, 2]));
+        assert_eq!(cli.axis, Some(vec![1, 2]));
+        assert_eq!(
+            parse_ok(&["check", "--seeds", "chaos"]).seeds.as_deref(),
+            Some(CHAOS_SEEDS)
+        );
+        assert_eq!(
+            parse_ok(&["durability", "--fsync", "never"])
+                .fsync
+                .as_deref(),
+            Some("never")
+        );
+    }
+
+    #[test]
+    fn bad_flag_values_are_rejected() {
+        for (args, error) in [
+            (
+                &["fig4", "--threads", "0"][..],
+                "--threads must be at least 1",
+            ),
+            (&["fig4", "--threads", "x"], "bad thread count: x"),
+            (&["fig4", "--seed", "-1"], "bad seed: -1"),
+            (
+                &["durability", "--fsync", "bogus"],
+                "bad fsync policy: bogus (always|never|batch:N:MS)",
+            ),
+            (&["check", "--seeds", "1,x"], "bad seed in --seeds: x"),
+            (&["scaling", "--axis", "0"], "bad thread count in --axis: 0"),
+            (&["scaling", "--axis", ""], "bad thread count in --axis: "),
+            (&["explore", "--budget", "many"], "bad budget: many"),
+        ] {
+            assert_eq!(parse(args).err().as_deref(), Some(error), "{args:?}");
         }
-        "custom" => {
-            let Some(path) = &cli.scenario else {
-                eprintln!("error: `custom` needs --scenario FILE");
-                return ExitCode::FAILURE;
-            };
-            let text = match fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            let config = match ScenarioConfig::from_config_text(&text) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            use oml_core::attach::AttachmentMode;
-            use oml_core::policy::PolicyKind;
-            use oml_sim::metrics::MetricsRow;
-            use std::collections::BTreeMap;
-            let mut series = BTreeMap::new();
-            for kind in PolicyKind::ALL {
-                let out = run_scenario(
-                    &config,
-                    kind,
-                    AttachmentMode::Unrestricted,
-                    cli.opts.stopping,
-                    cli.opts.seed,
-                );
-                series.insert(kind.to_string(), MetricsRow::from(&out.metrics));
-            }
-            let result = ExperimentResult {
-                id: "custom".into(),
-                title: format!("custom scenario `{}`", config.name),
-                x_label: "clients".into(),
-                y_label: "mean communication time per call".into(),
-                points: vec![oml_experiments::SweepPoint {
-                    x: f64::from(config.clients),
-                    series,
-                }],
-            };
-            emit(&result, &cli);
-            ExitCode::SUCCESS
+    }
+
+    #[test]
+    fn stray_arguments_are_rejected() {
+        assert_eq!(
+            parse(&["fig4", "--bogus"]).err().as_deref(),
+            Some("unexpected argument: --bogus")
+        );
+        assert_eq!(
+            parse(&["fig4", "fig8"]).err().as_deref(),
+            Some("unexpected argument: fig8")
+        );
+        assert_eq!(
+            parse(&["--quick"]).err().as_deref(),
+            Some("an experiment name is required")
+        );
+    }
+
+    #[test]
+    fn help_is_a_request_not_an_error() {
+        assert!(matches!(parse(&["--help"]), Ok(None)));
+        assert!(matches!(parse(&["fig4", "-h"]), Ok(None)));
+    }
+
+    #[test]
+    fn flag_order_does_not_change_the_run_options() {
+        let a = parse_ok(&["fig8", "--threads", "4", "--paper", "--seed", "9"]).opts();
+        let b = parse_ok(&["fig8", "--seed", "9", "--paper", "--threads", "4"]).opts();
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!((a.threads, a.seed), (4, 9));
+        assert_eq!(
+            format!("{:?}", a.stopping),
+            format!("{:?}", RunOptions::paper().stopping)
+        );
+        let quick = parse_ok(&["fig8", "--paper", "--quick"]).opts();
+        assert_eq!(
+            format!("{:?}", quick.stopping),
+            format!("{:?}", RunOptions::quick().stopping)
+        );
+    }
+
+    #[test]
+    fn usage_names_every_experiment_and_flag() {
+        let text = usage();
+        for e in EXPERIMENTS {
+            assert!(text.contains(&format!(" {} ", e.name)), "{}", e.name);
         }
-        path if path.ends_with(".csv") => {
-            // replot a previously saved result without re-running
-            let id = PathBuf::from(path)
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "reloaded".into());
-            match fs::read_to_string(path) {
-                Ok(csv) => match ExperimentResult::from_csv(&id, &csv) {
-                    Ok(result) => {
-                        emit(&result, &cli);
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        ExitCode::FAILURE
-                    }
-                },
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+        for f in FLAGS {
+            assert!(text.contains(f.name), "{}", f.name);
         }
-        "all" => {
-            for name in [
+    }
+
+    #[test]
+    fn all_runs_the_fifteen_result_experiments() {
+        let all: Vec<&str> = EXPERIMENTS
+            .iter()
+            .filter(|e| e.in_all)
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(
+            all,
+            [
                 "table1",
                 "fig4",
                 "fig8",
@@ -888,19 +1003,17 @@ fn main() -> ExitCode {
                 "faults",
                 "availability",
                 "durability",
-            ] {
-                let ok = run_one(name);
-                debug_assert!(ok);
-            }
-            ExitCode::SUCCESS
-        }
-        name => {
-            if run_one(name) {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("unknown experiment: {name}");
-                ExitCode::FAILURE
-            }
-        }
+            ]
+        );
+    }
+
+    #[test]
+    fn experiment_and_flag_names_are_unique() {
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        names.extend(FLAGS.iter().map(|f| f.name));
+        let count = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), count);
     }
 }

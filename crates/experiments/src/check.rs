@@ -12,7 +12,9 @@ use oml_check::{check_trace, lockorder, CheckReport};
 use oml_core::ids::{NodeId, ObjectId};
 use oml_core::policy::PolicyKind;
 use oml_runtime::wire::{WireReader, WireWriter};
-use oml_runtime::{Cluster, FaultPlan, MobileObject, RuntimeError, KNOWN_LOCK_ORDER};
+use oml_runtime::{
+    Cluster, ClusterBuilder, FaultPlan, MobileObject, Mutation, RuntimeError, KNOWN_LOCK_ORDER,
+};
 
 /// The chaos seeds `repro check --seeds chaos` replays: the canonical
 /// chaos-harness seed plus the two divergence seeds from its replay tests.
@@ -57,6 +59,41 @@ fn n(i: u32) -> NodeId {
     NodeId::new(i)
 }
 
+/// The settings every traced replay shares: [`NODES`] nodes under
+/// transient placement, `plan`'s faults, a manual clock and tracing on.
+fn replay_builder(plan: FaultPlan) -> ClusterBuilder {
+    Cluster::builder()
+        .nodes(NODES)
+        .policy(PolicyKind::TransientPlacement)
+        .faults(plan)
+        .call_timeout(Duration::from_millis(100))
+        .invoke_retries(2)
+        .lease_ms(LEASE_MS)
+        .manual_clock()
+        .trace()
+}
+
+/// Builds the cluster with the counter type registered.
+fn counter_cluster(builder: ClusterBuilder) -> Cluster {
+    let cluster = builder.build();
+    cluster.register_type("counter", |bytes| {
+        let mut r = WireReader::new(bytes);
+        Box::new(Counter(r.u64().expect("valid counter state")))
+    });
+    cluster
+}
+
+/// One zeroed counter on each of nodes 0, 1 and 2.
+fn three_counters(cluster: &Cluster) -> Vec<ObjectId> {
+    (0..3)
+        .map(|i| {
+            cluster
+                .create(n(i), Box::new(Counter(0)))
+                .expect("creation is on the reliable channel")
+        })
+        .collect()
+}
+
 /// Replays the chaos-harness fault schedule under `seed` with tracing
 /// enabled and returns the checker's verdict on the collected trace.
 ///
@@ -77,28 +114,8 @@ pub fn replay_chaos_seed(seed: u64) -> CheckOutcome {
         .duplicate_probability(0.05)
         .delay_probability(0.10, 3)
         .drop_end_requests(0.5);
-    let cluster = Cluster::builder()
-        .nodes(NODES)
-        .policy(PolicyKind::TransientPlacement)
-        .faults(plan)
-        .call_timeout(Duration::from_millis(100))
-        .invoke_retries(2)
-        .lease_ms(LEASE_MS)
-        .manual_clock()
-        .trace()
-        .build();
-    cluster.register_type("counter", |bytes| {
-        let mut r = WireReader::new(bytes);
-        Box::new(Counter(r.u64().expect("valid counter state")))
-    });
-
-    let objects: Vec<ObjectId> = (0..3)
-        .map(|i| {
-            cluster
-                .create(n(i), Box::new(Counter(0)))
-                .expect("creation is on the reliable channel")
-        })
-        .collect();
+    let cluster = counter_cluster(replay_builder(plan));
+    let objects = three_counters(&cluster);
 
     for i in 0..OPS {
         let obj = objects[(i % 3) as usize];
@@ -136,12 +153,6 @@ pub fn replay_chaos_seed(seed: u64) -> CheckOutcome {
         seed,
         report: check_trace(&cluster.take_trace()),
     }
-}
-
-/// Replays every seed in `seeds` and returns the outcomes in order.
-#[must_use]
-pub fn replay_chaos_seeds(seeds: &[u64]) -> Vec<CheckOutcome> {
-    seeds.iter().map(|&s| replay_chaos_seed(s)).collect()
 }
 
 /// Heartbeat interval of the recovery replays (`repro check --recovery`).
@@ -187,62 +198,81 @@ fn restart_until_up(cluster: &Cluster, node: NodeId) {
 /// (anything but a timeout or a fail-fast `NodeDown`).
 #[must_use]
 pub fn replay_recovery_seed(seed: u64) -> CheckOutcome {
-    let outcome = run_recovery_schedule(seed, true);
     CheckOutcome {
         seed,
-        report: outcome,
+        report: run_recovery_schedule(seed, true),
     }
 }
 
-/// Replays every seed in `seeds` through the recovery schedule.
-#[must_use]
-pub fn replay_recovery_seeds(seeds: &[u64]) -> Vec<CheckOutcome> {
-    seeds.iter().map(|&s| replay_recovery_seed(s)).collect()
+/// One negative control: a [`Mutation`] of the recovery protocol, the name
+/// `repro check` reports it under, and the violation that must flag it.
+#[derive(Debug, Clone, Copy)]
+pub struct NegativeControl {
+    /// The protocol mutation the control runs under.
+    pub mutation: Mutation,
+    /// Display name.
+    pub name: &'static str,
+    /// How the checker's report renders the violation the control must
+    /// produce.
+    pub violation: &'static str,
 }
 
-/// Negative control for `repro check --recovery`: the same zombie-restart
-/// schedule with fencing disabled. The zombie double-installs the
-/// reinstantiated object, and the returned report must **not** be clean —
-/// proving the stale-incarnation invariant actually bites.
+/// Every negative control, in the order `repro check --negative` replays
+/// them. `--recovery` adds the first, `--durability` the other two.
+pub const NEGATIVE_CONTROLS: [NegativeControl; 3] = [
+    NegativeControl {
+        mutation: Mutation::Unfenced,
+        name: "unfenced zombie",
+        violation: "stale incarnation",
+    },
+    NegativeControl {
+        mutation: Mutation::NoRepair,
+        name: "no-repair",
+        violation: "replication factor",
+    },
+    NegativeControl {
+        mutation: Mutation::StalePromotion,
+        name: "stale-promotion",
+        violation: "stale replica promoted",
+    },
+];
+
+/// Replays the negative control for `mutation` under `seed`. The returned
+/// report must **not** be clean — that is what proves the invariant
+/// guarding the mutated mechanism actually bites:
+///
+/// * [`Mutation::Unfenced`]: the recovery schedule's zombie restart
+///   double-installs the reinstantiated object;
+/// * [`Mutation::NoRepair`]: a declared death leaves an object
+///   under-replicated to the end of the trace;
+/// * [`Mutation::StalePromotion`]: a partition makes one replica miss the
+///   post-add refresh, and when the host+home dies the rigged promotion
+///   discards the surviving quorum-acked write.
+///
+/// # Panics
+///
+/// Panics if the runtime surfaces an error the schedule cannot produce.
 #[must_use]
-pub fn replay_zombie_negative(seed: u64) -> CheckOutcome {
-    let outcome = run_recovery_schedule(seed, false);
-    CheckOutcome {
-        seed,
-        report: outcome,
-    }
+pub fn replay_negative(mutation: Mutation, seed: u64) -> CheckOutcome {
+    let report = match mutation {
+        Mutation::Unfenced => run_recovery_schedule(seed, false),
+        Mutation::NoRepair => run_no_repair_schedule(seed),
+        Mutation::StalePromotion => run_stale_promotion_schedule(seed),
+    };
+    CheckOutcome { seed, report }
 }
 
 fn run_recovery_schedule(seed: u64, fenced: bool) -> CheckReport {
     let plan = FaultPlan::seeded(seed)
         .drop_probability(0.05)
         .delay_probability(0.05, 2);
-    let mut builder = Cluster::builder()
-        .nodes(NODES)
-        .policy(PolicyKind::TransientPlacement)
-        .faults(plan)
-        .call_timeout(Duration::from_millis(100))
-        .invoke_retries(2)
-        .lease_ms(LEASE_MS)
-        .manual_clock()
-        .failure_detector(RECOVERY_HEARTBEAT_MS, RECOVERY_K_MISSED)
-        .trace();
+    let mut builder =
+        replay_builder(plan).failure_detector(RECOVERY_HEARTBEAT_MS, RECOVERY_K_MISSED);
     if !fenced {
-        builder = builder.unfenced();
+        builder = builder.mutation(Mutation::Unfenced);
     }
-    let cluster = builder.build();
-    cluster.register_type("counter", |bytes| {
-        let mut r = WireReader::new(bytes);
-        Box::new(Counter(r.u64().expect("valid counter state")))
-    });
-
-    let objects: Vec<ObjectId> = (0..3)
-        .map(|i| {
-            cluster
-                .create(n(i), Box::new(Counter(0)))
-                .expect("creation is on the reliable channel")
-        })
-        .collect();
+    let cluster = counter_cluster(builder);
+    let objects = three_counters(&cluster);
 
     for i in 0..OPS {
         let obj = objects[(i % 3) as usize];
@@ -318,33 +348,22 @@ fn await_health(
     );
 }
 
-/// Builds the replicated-checkpoint durability cluster: 4 nodes, `k = 2`,
-/// detector + manual clock, tracing on, with duplicated checkpoint traffic
-/// (seeded) so the ack-dedup path is exercised on every replay.
-fn durability_cluster(seed: u64, k: usize, no_repair: bool, stale_promotion: bool) -> Cluster {
-    let mut builder = Cluster::builder()
-        .nodes(NODES)
-        .policy(PolicyKind::TransientPlacement)
-        .faults(FaultPlan::seeded(seed).checkpoint_faults(0.0, 0.5))
-        .call_timeout(Duration::from_millis(100))
-        .invoke_retries(2)
-        .lease_ms(LEASE_MS)
-        .manual_clock()
+/// Builds the replicated-checkpoint durability cluster: 4 nodes, `k`
+/// replicas, detector + manual clock, tracing on, with duplicated
+/// checkpoint traffic (seeded) so the ack-dedup path is exercised on every
+/// replay. Returns it with a counter of 7 created at node 0.
+fn durability_cluster(seed: u64, k: usize, mutation: Option<Mutation>) -> (Cluster, ObjectId) {
+    let mut builder = replay_builder(FaultPlan::seeded(seed).checkpoint_faults(0.0, 0.5))
         .failure_detector(RECOVERY_HEARTBEAT_MS, RECOVERY_K_MISSED)
-        .replication(k)
-        .trace();
-    if no_repair {
-        builder = builder.no_repair();
+        .replication(k);
+    if let Some(mutation) = mutation {
+        builder = builder.mutation(mutation);
     }
-    if stale_promotion {
-        builder = builder.stale_promotion();
-    }
-    let cluster = builder.build();
-    cluster.register_type("counter", |bytes| {
-        let mut r = WireReader::new(bytes);
-        Box::new(Counter(r.u64().expect("valid counter state")))
-    });
-    cluster
+    let cluster = counter_cluster(builder);
+    let obj = cluster
+        .create(n(0), Box::new(Counter(7)))
+        .expect("creation is on the reliable channel");
+    (cluster, obj)
 }
 
 /// Replays the durability schedule under `seed`: an object is hosted off
@@ -361,10 +380,7 @@ fn durability_cluster(seed: u64, k: usize, no_repair: bool, stale_promotion: boo
 /// produce.
 #[must_use]
 pub fn replay_durability_seed(seed: u64) -> CheckOutcome {
-    let cluster = durability_cluster(seed, 2, false, false);
-    let obj = cluster
-        .create(n(0), Box::new(Counter(7)))
-        .expect("creation is on the reliable channel");
+    let (cluster, obj) = durability_cluster(seed, 2, None);
     let set = cluster.replica_set(obj).expect("replicated object");
     let host = (0..NODES)
         .map(n)
@@ -405,52 +421,18 @@ pub fn replay_durability_seed(seed: u64) -> CheckOutcome {
     }
 }
 
-/// Replays every seed in `seeds` through the durability schedule.
-#[must_use]
-pub fn replay_durability_seeds(seeds: &[u64]) -> Vec<CheckOutcome> {
-    seeds.iter().map(|&s| replay_durability_seed(s)).collect()
-}
-
-/// Negative control for `repro check --durability`: with the anti-entropy
-/// repair sweep disabled, a declared death leaves an object
-/// under-replicated to the end of the trace, and the checker's
-/// `ReplicationFactorViolation` invariant must flag it.
-///
-/// # Panics
-///
-/// Panics if the runtime surfaces an error the schedule cannot produce.
-#[must_use]
-pub fn replay_no_repair_negative(seed: u64) -> CheckOutcome {
-    let cluster = durability_cluster(seed, 2, true, false);
-    let obj = cluster
-        .create(n(0), Box::new(Counter(7)))
-        .expect("creation is on the reliable channel");
+fn run_no_repair_schedule(seed: u64) -> CheckReport {
+    let (cluster, obj) = durability_cluster(seed, 2, Some(Mutation::NoRepair));
     let second = cluster.replica_set(obj).expect("replicated object")[1];
     cluster.crash_node(second).expect("crash joins the worker");
     cluster.advance_clock(RECOVERY_DETECTION_MS);
     cluster.detector_sweep();
     cluster.shutdown();
-    CheckOutcome {
-        seed,
-        report: check_trace(&cluster.take_trace()),
-    }
+    check_trace(&cluster.take_trace())
 }
 
-/// Negative control for `repro check --durability`: reinstantiation is
-/// rigged to promote the *stalest* surviving replica. A partition makes one
-/// replica miss the post-add refresh; when the host+home dies, the rigged
-/// promotion discards the surviving quorum-acked write, and the checker's
-/// `StaleReplicaPromoted` invariant must flag it.
-///
-/// # Panics
-///
-/// Panics if the runtime surfaces an error the schedule cannot produce.
-#[must_use]
-pub fn replay_stale_promotion_negative(seed: u64) -> CheckOutcome {
-    let cluster = durability_cluster(seed, 3, false, true);
-    let obj = cluster
-        .create(n(0), Box::new(Counter(7)))
-        .expect("creation is on the reliable channel");
+fn run_stale_promotion_schedule(seed: u64) -> CheckReport {
+    let (cluster, obj) = durability_cluster(seed, 3, Some(Mutation::StalePromotion));
     let set = cluster.replica_set(obj).expect("replicated object");
     drop(cluster.move_block(obj, n(0)).expect("consistency point"));
     await_health(&cluster, obj, |h| h.quorum >= Some((0, 1)));
@@ -468,10 +450,7 @@ pub fn replay_stale_promotion_negative(seed: u64) -> CheckOutcome {
     cluster.advance_clock(RECOVERY_DETECTION_MS);
     cluster.detector_sweep();
     cluster.shutdown();
-    CheckOutcome {
-        seed,
-        report: check_trace(&cluster.take_trace()),
-    }
+    check_trace(&cluster.take_trace())
 }
 
 /// Drives a small fault-free scenario that touches every named lock site —
@@ -490,17 +469,14 @@ pub fn replay_stale_promotion_negative(seed: u64) -> CheckOutcome {
 /// blame, so any error is a runtime bug.
 #[must_use]
 pub fn exercise_lock_sites() -> CheckReport {
-    let cluster = Cluster::builder()
-        .nodes(2)
-        .policy(PolicyKind::CompareAndReinstantiate)
-        .lease_ms(500)
-        .manual_clock()
-        .trace()
-        .build();
-    cluster.register_type("counter", |bytes| {
-        let mut r = WireReader::new(bytes);
-        Box::new(Counter(r.u64().expect("valid counter state")))
-    });
+    let cluster = counter_cluster(
+        Cluster::builder()
+            .nodes(2)
+            .policy(PolicyKind::CompareAndReinstantiate)
+            .lease_ms(500)
+            .manual_clock()
+            .trace(),
+    );
     let a = cluster.create(n(0), Box::new(Counter(0))).expect("create");
     let b = cluster.create(n(1), Box::new(Counter(0))).expect("create");
     let ally = cluster.create_alliance("pair");
@@ -568,20 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn recovery_schedule_is_flagged_when_unfenced() {
-        let outcome = replay_zombie_negative(CHAOS_SEEDS[0]);
-        assert!(
-            !outcome.report.is_clean(),
-            "the unfenced zombie must trip the stale-incarnation invariant"
-        );
-        let rendered = outcome.report.to_string();
-        assert!(
-            rendered.contains("stale incarnation"),
-            "expected a stale-incarnation violation, got: {rendered}"
-        );
-    }
-
-    #[test]
     fn durability_schedule_is_clean() {
         let outcome = replay_durability_seed(CHAOS_SEEDS[0]);
         assert!(outcome.report.events > 10, "tracing must be on");
@@ -589,31 +551,23 @@ mod tests {
     }
 
     #[test]
-    fn no_repair_negative_is_flagged() {
-        let outcome = replay_no_repair_negative(CHAOS_SEEDS[0]);
-        assert!(
-            !outcome.report.is_clean(),
-            "an unrepaired replica deficit must trip the replication-factor invariant"
-        );
-        let rendered = outcome.report.to_string();
-        assert!(
-            rendered.contains("replication factor"),
-            "expected a replication-factor violation, got: {rendered}"
-        );
-    }
-
-    #[test]
-    fn stale_promotion_negative_is_flagged() {
-        let outcome = replay_stale_promotion_negative(CHAOS_SEEDS[0]);
-        assert!(
-            !outcome.report.is_clean(),
-            "discarding a surviving quorum write must trip the freshness invariant"
-        );
-        let rendered = outcome.report.to_string();
-        assert!(
-            rendered.contains("stale replica promoted"),
-            "expected a stale-promotion violation, got: {rendered}"
-        );
+    fn every_negative_control_is_flagged() {
+        for control in NEGATIVE_CONTROLS {
+            let outcome = replay_negative(control.mutation, CHAOS_SEEDS[0]);
+            assert!(
+                !outcome.report.is_clean(),
+                "the {} control ({:?}) must trip its invariant",
+                control.name,
+                control.mutation
+            );
+            let rendered = outcome.report.to_string();
+            assert!(
+                rendered.contains(control.violation),
+                "expected a `{}` violation from the {} control, got: {rendered}",
+                control.violation,
+                control.name
+            );
+        }
     }
 
     #[test]

@@ -911,7 +911,7 @@ pub fn fsync_from_env() -> oml_runtime::FsyncPolicy {
 pub fn availability_multiprocess(opts: &RunOptions) -> ExperimentResult {
     use oml_runtime::wire::WireWriter;
     use oml_runtime::{
-        MultiProcCluster, MultiProcConfig, ProcHealth, RuntimeError, SocketConfig, TransportAddr,
+        MultiProcCluster, MultiProcConfig, NodeHealth, RuntimeError, SocketConfig, TransportAddr,
     };
     use std::time::{Duration, Instant};
 
@@ -972,7 +972,7 @@ pub fn availability_multiprocess(opts: &RunOptions) -> ExperimentResult {
             // + reinstantiate cycle, like an operator replacing a box the
             // monitoring already wrote off
             let until = Instant::now() + Duration::from_secs(10);
-            while cluster.health(2) != ProcHealth::Dead {
+            while cluster.health(2) != Some(NodeHealth::Dead) {
                 assert!(Instant::now() < until, "detector never declared the kill");
                 std::thread::sleep(Duration::from_millis(10));
             }

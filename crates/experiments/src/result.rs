@@ -1,12 +1,11 @@
 //! Experiment results and their renderings.
 
 use oml_sim::metrics::MetricsRow;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// All series' measurements at one x-axis value.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// The x-axis value (mean gap `t_m`, or number of clients `C`).
     pub x: f64,
@@ -15,7 +14,7 @@ pub struct SweepPoint {
 }
 
 /// One regenerated figure or table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentResult {
     /// Short id ("fig8", "fig12", …).
     pub id: String,

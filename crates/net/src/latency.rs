@@ -1,14 +1,13 @@
 //! Per-message latency models.
 
 use oml_des::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// How long one remote message takes.
 ///
 /// The paper normalizes time "so that a remote object invocation \[message\]
 /// has an exponentially distributed duration of 1" (§4.1); the other models
 /// support deterministic unit tests and sensitivity ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyModel {
     /// Exponentially distributed with the given mean (the paper's model).
     Exponential {

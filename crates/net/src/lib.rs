@@ -46,7 +46,6 @@ pub use topology::Topology;
 
 use oml_core::ids::NodeId;
 use oml_des::SimRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Message-loss faults for the simulated network.
@@ -60,7 +59,7 @@ use std::fmt;
 /// keeps them comparable under degraded networks.)
 ///
 /// Local (same-node) messages cannot be lost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Probability that one message transmission attempt is lost.
     pub loss_probability: f64,
@@ -149,7 +148,7 @@ impl Default for FaultConfig {
 /// assert!(net.message_delay(NodeId::new(0), NodeId::new(1), &mut rng) >= 0.0);
 /// assert_eq!(net.topology(), &Topology::FullMesh { nodes: 3 });
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     topology: Topology,
     latency: LatencyModel,
@@ -157,7 +156,6 @@ pub struct Network {
     /// meaningful for non-complete topologies).
     scale_by_hops: bool,
     /// Message-loss model; [`FaultConfig::none`] by default.
-    #[serde(default)]
     faults: FaultConfig,
 }
 

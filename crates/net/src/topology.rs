@@ -5,10 +5,9 @@
 //! — but this had no effects on the results").
 
 use oml_core::ids::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// The physical interconnection structure of the nodes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Topology {
     /// Every node pair is directly connected (the paper's model).
     FullMesh {

@@ -24,8 +24,8 @@ use crate::message::{Envelope, Message, MAX_HOPS};
 use crate::node::NodeWorker;
 use crate::object::{Delinearizer, MobileObject, TypeRegistry};
 use crate::recovery::{
-    preference_order, Admission, DetectorConfig, NodeHealth, PendingRefresh, RecoveryState,
-    ReplicaCheckpoint, ReplicationInfo,
+    preference_order, Admission, DetectorConfig, Mutation, NodeHealth, PendingRefresh,
+    RecoveryState, ReplicaCheckpoint, ReplicationInfo,
 };
 use crate::schedule::{FreeRun, ScheduleSource, SendAction};
 use crate::store::{CheckpointStore, FsyncPolicy};
@@ -347,7 +347,9 @@ impl Shared {
 
     /// Whether epoch fencing is active.
     pub(crate) fn fenced(&self) -> bool {
-        self.recovery.as_ref().is_some_and(|r| r.fenced)
+        self.recovery
+            .as_ref()
+            .is_some_and(|r| r.mutation != Some(Mutation::Unfenced))
     }
 
     /// The current incarnation of `node` (raw id); 1 without a detector.
@@ -786,7 +788,7 @@ impl Shared {
     /// re-send the freshest available copy to replica-set members that are
     /// missing it or hold an older version — healing under-replication after
     /// deaths and divergence after dropped refresh traffic. The sweep marker
-    /// is emitted even when repair is disabled ([`crate::ClusterBuilder::no_repair`])
+    /// is emitted even when repair is disabled ([`Mutation::NoRepair`])
     /// so the checker can tell "under-replicated after repair quiesced" from
     /// "repair never ran".
     fn repair_sweep(&self) {
@@ -794,7 +796,7 @@ impl Shared {
             return;
         };
         self.trace.emit(CLIENT_PROCESS, EventKind::RepairSweep);
-        if !rec.repair {
+        if rec.mutation == Some(Mutation::NoRepair) {
             return;
         }
         let mut objects: Vec<(ObjectId, NodeId)> = {
@@ -955,7 +957,7 @@ impl Shared {
                 continue; // no replication record (object predates the detector)
             };
             // reinstantiate from the freshest surviving replica, ordered by
-            // (object epoch, refresh sequence); the stale_promotion hook
+            // (object epoch, refresh sequence); `Mutation::StalePromotion`
             // inverts the choice for negative testing
             let source = {
                 let stores = rec.replica_stores.lock();
@@ -966,7 +968,7 @@ impl Shared {
                     }
                     if let Some(ckpt) = store.get(object) {
                         let better = best.as_ref().is_none_or(|(_, b)| {
-                            if rec.stale_promotion {
+                            if rec.mutation == Some(Mutation::StalePromotion) {
                                 ckpt.version() < b.version()
                             } else {
                                 ckpt.version() > b.version()
@@ -1110,9 +1112,6 @@ fn clone_control(msg: &Message) -> Option<Message> {
 ///
 /// See the crate-level documentation for a full example.
 #[derive(Debug)]
-// a builder is the one place independent on/off switches genuinely are
-// independent bools, not a state machine
-#[allow(clippy::struct_excessive_bools)]
 pub struct ClusterBuilder {
     nodes: u32,
     policy: PolicyKind,
@@ -1125,10 +1124,8 @@ pub struct ClusterBuilder {
     manual_clock: bool,
     trace: bool,
     detector: Option<DetectorConfig>,
-    unfenced: bool,
     replication_k: usize,
-    repair: bool,
-    stale_promotion: bool,
+    mutation: Option<Mutation>,
     store_dir: Option<std::path::PathBuf>,
     store_fsync: FsyncPolicy,
     schedule: Arc<dyn ScheduleSource>,
@@ -1265,23 +1262,16 @@ impl ClusterBuilder {
         self
     }
 
-    /// Disables the anti-entropy repair sweep (negative-testing hook):
-    /// objects under-replicated by deaths or dropped refresh traffic then
-    /// *stay* under-replicated — the scenario `oml-check`'s
-    /// `ReplicationFactorViolation` invariant exists to catch.
+    /// Runs the recovery protocol under `mutation`, a deliberately broken
+    /// variant that a negative control uses to prove an `oml-check`
+    /// invariant bites: [`Mutation::Unfenced`] must trip
+    /// `StaleIncarnation`, [`Mutation::NoRepair`] must trip
+    /// `ReplicationFactorViolation`, and [`Mutation::StalePromotion`] must
+    /// trip `StaleReplicaPromoted`. Meaningless without
+    /// [`ClusterBuilder::failure_detector`].
     #[must_use]
-    pub fn no_repair(mut self) -> Self {
-        self.repair = false;
-        self
-    }
-
-    /// Makes reinstantiation promote the *stalest* surviving replica instead
-    /// of the freshest (negative-testing hook): a quorum-acked write is then
-    /// observably lost even though a fresher copy survives — the scenario
-    /// `oml-check`'s `StaleReplicaPromoted` invariant exists to catch.
-    #[must_use]
-    pub fn stale_promotion(mut self) -> Self {
-        self.stale_promotion = true;
+    pub fn mutation(mut self, mutation: Mutation) -> Self {
+        self.mutation = Some(mutation);
         self
     }
 
@@ -1296,16 +1286,6 @@ impl ClusterBuilder {
     pub fn durable_store(mut self, dir: impl Into<std::path::PathBuf>, fsync: FsyncPolicy) -> Self {
         self.store_dir = Some(dir.into());
         self.store_fsync = fsync;
-        self
-    }
-
-    /// Disables epoch fencing (negative-testing hook): zombie workers and
-    /// their stale messages are then *not* rejected, so
-    /// [`Cluster::zombie_restart_node`] observably corrupts state — the
-    /// scenario `oml-check`'s stale-incarnation invariant exists to catch.
-    #[must_use]
-    pub fn unfenced(mut self) -> Self {
-        self.unfenced = true;
         self
     }
 
@@ -1374,10 +1354,8 @@ impl ClusterBuilder {
             RecoveryState::new(
                 self.nodes as usize,
                 cfg,
-                !self.unfenced,
+                self.mutation,
                 self.replication_k,
-                self.repair,
-                self.stale_promotion,
                 stores,
             )
         });
@@ -1520,10 +1498,8 @@ impl Cluster {
             manual_clock: false,
             trace: false,
             detector: None,
-            unfenced: false,
             replication_k: 2,
-            repair: true,
-            stale_promotion: false,
+            mutation: None,
             store_dir: None,
             store_fsync: FsyncPolicy::Always,
             schedule: Arc::new(FreeRun),
@@ -2136,7 +2112,7 @@ impl Cluster {
     /// incarnation — a "zombie" that believes it still owns its stashed
     /// objects. With fencing (the default) the zombie notices the newer
     /// epoch and exits without reclaiming anything; built
-    /// [`ClusterBuilder::unfenced`], it double-installs state the cluster
+    /// with [`Mutation::Unfenced`], it double-installs state the cluster
     /// already reinstantiated elsewhere — the corruption `oml-check`'s
     /// stale-incarnation invariant flags. Idempotent on a running node.
     ///

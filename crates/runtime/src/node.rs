@@ -176,7 +176,7 @@ impl NodeWorker {
             mine
         };
         let mine: Vec<(ObjectId, Box<dyn MobileObject>, u64)> = match &self.shared.recovery {
-            Some(rec) if rec.fenced => {
+            Some(rec) if self.shared.fenced() => {
                 // filtered under the epoch lock so a concurrent declare-dead
                 // either bumped the epochs before we read them (entry
                 // dropped) or runs after and reinstantiates from checkpoints

@@ -78,6 +78,27 @@ pub enum NodeHealth {
     Dead,
 }
 
+/// A deliberately broken recovery protocol, for negative controls: each
+/// variant disables one safety mechanism so that the `oml-check` invariant
+/// guarding it has a violation to find. Installed with
+/// [`crate::ClusterBuilder::mutation`]; a cluster carries at most one, and
+/// none by default.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mutation {
+    /// No epoch fencing: zombie workers and their stale messages are not
+    /// rejected, so [`crate::Cluster::zombie_restart_node`] double-installs
+    /// reinstantiated state. Trips `StaleIncarnation`.
+    Unfenced,
+    /// No anti-entropy repair: an object under-replicated by a death or by
+    /// dropped refresh traffic stays under-replicated. Trips
+    /// `ReplicationFactorViolation`.
+    NoRepair,
+    /// Reinstantiation promotes the *stalest* surviving replica instead of
+    /// the freshest, losing a quorum-acked write although a fresher copy
+    /// survives. Trips `StaleReplicaPromoted`.
+    StalePromotion,
+}
+
 const HEALTH_UP: u8 = 0;
 const HEALTH_SUSPECTED: u8 = 1;
 const HEALTH_DEAD: u8 = 2;
@@ -138,20 +159,11 @@ pub(crate) struct ReplicationInfo {
 /// configured.
 pub(crate) struct RecoveryState {
     pub(crate) config: DetectorConfig,
-    /// Epoch fencing active? Disabled by [`crate::ClusterBuilder::unfenced`]
-    /// (a negative-testing hook: zombies then corrupt state observably).
-    pub(crate) fenced: bool,
+    /// The negative-control mutation this cluster runs under, if any.
+    pub(crate) mutation: Option<Mutation>,
     /// Replication factor `k = f + 1`: how many nodes hold each object's
     /// passive copy (clamped to the cluster size at placement time).
     pub(crate) replica_k: usize,
-    /// Whether the anti-entropy repair sweep re-replicates (negative-testing
-    /// hook: [`crate::ClusterBuilder::no_repair`] leaves under-replication
-    /// standing for the checker to flag).
-    pub(crate) repair: bool,
-    /// Negative-testing hook: promote the *stalest* surviving replica at
-    /// reinstantiation instead of the freshest, so the checker's
-    /// `StaleReplicaPromoted` invariant has something to catch.
-    pub(crate) stale_promotion: bool,
     /// Current incarnation per node; starts at 1.
     incarnations: Vec<AtomicU64>,
     /// Whether the node's worker thread is (believed) running. Gates *death*
@@ -183,10 +195,8 @@ impl RecoveryState {
     pub(crate) fn new(
         nodes: usize,
         config: DetectorConfig,
-        fenced: bool,
+        mutation: Option<Mutation>,
         replica_k: usize,
-        repair: bool,
-        stale_promotion: bool,
         stores: Vec<Box<dyn CheckpointStore>>,
     ) -> Self {
         assert_eq!(stores.len(), nodes, "one checkpoint store per node");
@@ -202,10 +212,8 @@ impl RecoveryState {
         }
         RecoveryState {
             config,
-            fenced,
+            mutation,
             replica_k,
-            repair,
-            stale_promotion,
             incarnations: (0..nodes).map(|_| AtomicU64::new(1)).collect(),
             alive: (0..nodes).map(|_| AtomicBool::new(true)).collect(),
             last_beat: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
@@ -390,10 +398,8 @@ mod tests {
                 heartbeat_ms: 10,
                 k_missed: 2,
             },
-            true,
+            None,
             2,
-            true,
-            false,
             (0..nodes)
                 .map(|_| Box::new(crate::store::MemStore::new()) as Box<dyn CheckpointStore>)
                 .collect(),
@@ -499,10 +505,8 @@ mod tests {
                 heartbeat_ms: 10,
                 k_missed: 2,
             },
-            true,
+            None,
             1,
-            true,
-            false,
             vec![Box::new(store)],
         );
         assert_eq!(

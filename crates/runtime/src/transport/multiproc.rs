@@ -33,10 +33,12 @@ use super::socket::{SocketConfig, SocketPeer, SocketServer};
 use super::{Transport, TransportError, TransportEvent};
 use crate::error::RuntimeError;
 use crate::object::{Delinearizer, MobileObject};
+use crate::recovery::NodeHealth;
 use crate::store::{
     CheckpointStore, FsyncPolicy, MemStore, RecoveryReport, StoredCheckpoint, WalStore,
     WalStoreConfig,
 };
+use crate::trace::TraceCollector;
 use crate::wire::{WireReader, WireWriter};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Sender};
@@ -250,17 +252,6 @@ impl ProtoMsg {
 // ---------------------------------------------------------------------------
 // coordinator
 
-/// Detector verdict for one worker process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProcHealth {
-    /// Heartbeating normally.
-    Up,
-    /// Missed beats; revocable.
-    Suspected,
-    /// Declared dead; incarnation fenced, objects reinstantiated.
-    Dead,
-}
-
 /// Configuration for [`MultiProcCluster::spawn`].
 #[derive(Debug, Clone)]
 pub struct MultiProcConfig {
@@ -300,18 +291,9 @@ pub struct MultiProcConfig {
 struct ProcSlot {
     child: Option<Child>,
     incarnation: u64,
-    health: ProcHealth,
+    health: NodeHealth,
     last_beat: Instant,
     ever_beat: bool,
-}
-
-#[derive(Default)]
-struct Counters {
-    declared_dead: u64,
-    reinstantiated: u64,
-    fenced_handshakes: u64,
-    reconnects: u64,
-    deliveries: u64,
 }
 
 struct CoordState {
@@ -323,7 +305,7 @@ struct CoordState {
     /// with the coordinator.
     store: Box<dyn CheckpointStore>,
     pending: HashMap<u64, Sender<ProtoMsg>>,
-    counters: Counters,
+    counters: MultiProcStats,
 }
 
 /// What a checkpoint append should report to the trace, if anything:
@@ -363,16 +345,14 @@ struct CoordShared {
     cfg: MultiProcConfig,
     server: SocketServer,
     state: Mutex<CoordState>,
-    trace: Mutex<Vec<TraceEvent>>,
+    trace: TraceCollector,
     next_corr: AtomicU64,
     closed: AtomicBool,
 }
 
 impl CoordShared {
     fn trace(&self, kind: EventKind) {
-        self.trace
-            .lock()
-            .push(TraceEvent::new(CLIENT_PROCESS, kind));
+        self.trace.emit(CLIENT_PROCESS, kind);
     }
 
     /// Mirrors a durable checkpoint append into the trace (no-op for
@@ -387,6 +367,117 @@ impl CoordShared {
                 durable,
             });
         }
+    }
+
+    /// Sends the message `msg` builds around a fresh correlation id to
+    /// `node` and awaits the reply carrying that id.
+    fn call(&self, node: u32, msg: impl FnOnce(u64) -> ProtoMsg) -> Result<ProtoMsg, RuntimeError> {
+        let corr = self.next_corr.fetch_add(1, Ordering::AcqRel);
+        let msg = msg(corr);
+        let (tx, rx) = bounded(1);
+        self.state.lock().pending.insert(corr, tx);
+        let cleanup = || {
+            self.state.lock().pending.remove(&corr);
+        };
+        if let Err(e) = self.server.send(node, msg.encode()) {
+            cleanup();
+            return Err(map_transport_err(&e, node));
+        }
+        let timeout = Duration::from_millis(self.cfg.call_timeout_ms);
+        match rx.recv_timeout(timeout) {
+            Ok(reply) => Ok(reply),
+            Err(_) => {
+                cleanup();
+                Err(RuntimeError::Timeout {
+                    waited_ms: self.cfg.call_timeout_ms,
+                })
+            }
+        }
+    }
+
+    /// Installs `object` at `node` under `obj_epoch`; the worker refuses a
+    /// stale epoch.
+    fn install(
+        &self,
+        node: u32,
+        object: u32,
+        type_tag: String,
+        state: Vec<u8>,
+        obj_epoch: u64,
+    ) -> Result<(), RuntimeError> {
+        let install = |corr| ProtoMsg::Install {
+            corr,
+            object,
+            type_tag,
+            state,
+            obj_epoch,
+        };
+        match self.call(node, install)? {
+            ProtoMsg::Ack { ok: true, .. } => Ok(()),
+            ProtoMsg::Ack { err, .. } => Err(method_failed(object, err)),
+            other => Err(method_failed(object, format!("unexpected reply {other:?}"))),
+        }
+    }
+
+    /// Starts a worker process for `node` presenting `epoch` in its
+    /// handshake.
+    fn spawn_worker(&self, node: u32, epoch: u64) -> io::Result<Child> {
+        Command::new(&self.cfg.worker_program)
+            .args(&self.cfg.worker_args)
+            .env("OML_MP_ADDR", self.server.addr().to_string())
+            .env("OML_MP_NODE", node.to_string())
+            .env("OML_MP_EPOCH", epoch.to_string())
+            .env("OML_MP_HB_MS", self.cfg.heartbeat_ms.to_string())
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+    }
+
+    /// Reinstalls `object` from its checkpoint at the first Up worker, under
+    /// a bumped object epoch. Used by the sweep (dead host), the failed
+    /// install leg of a migration and cold recovery.
+    fn reinstall_from_checkpoint(&self, object: u32) -> Option<u32> {
+        let (type_tag, ck_state, next_epoch, target) = {
+            let state = self.state.lock();
+            let ck = state.store.get(ObjectId::new(object))?;
+            let target = state
+                .slots
+                .iter()
+                .position(|s| s.health == NodeHealth::Up)
+                .map(|i| i as u32)?;
+            (
+                ck.type_tag.clone(),
+                ck.state.to_vec(),
+                ck.object_epoch + 1,
+                target,
+            )
+        };
+        self.install(
+            target,
+            object,
+            type_tag.clone(),
+            ck_state.clone(),
+            next_epoch,
+        )
+        .ok()?;
+        let note = {
+            let mut state = self.state.lock();
+            state.directory.insert(object, target);
+            let note = state
+                .put_checkpoint(object, &type_tag, &ck_state, next_epoch)
+                .ok()
+                .flatten();
+            state.counters.reinstantiated += 1;
+            note
+        };
+        self.trace_wal(object, note);
+        self.trace(EventKind::Reinstantiated {
+            object: ObjectId::new(object),
+            at: NodeId::new(target),
+            epoch: next_epoch,
+        });
+        Some(target)
     }
 }
 
@@ -450,18 +541,11 @@ impl MultiProcCluster {
                 "workers not ready after cold restart",
             ));
         }
-        let mut objects: Vec<u32> = {
-            let state = cluster.inner.state.lock();
-            state
-                .store
-                .objects()
-                .into_iter()
-                .map(|o| o.as_u32())
-                .collect()
-        };
+        let stored = cluster.inner.state.lock().store.objects();
+        let mut objects: Vec<u32> = stored.into_iter().map(ObjectId::as_u32).collect();
         objects.sort_unstable();
         for object in objects {
-            let _ = reinstall_from_checkpoint_shared(&cluster.inner, object);
+            let _ = cluster.inner.reinstall_from_checkpoint(object);
         }
         Ok(cluster)
     }
@@ -502,7 +586,7 @@ impl MultiProcCluster {
             .map(|&incarnation| ProcSlot {
                 child: None,
                 incarnation,
-                health: ProcHealth::Up,
+                health: NodeHealth::Up,
                 last_beat: now,
                 ever_beat: false,
             })
@@ -515,9 +599,9 @@ impl MultiProcCluster {
                 directory: HashMap::new(),
                 store,
                 pending: HashMap::new(),
-                counters: Counters::default(),
+                counters: MultiProcStats::default(),
             }),
-            trace: Mutex::new(Vec::new()),
+            trace: TraceCollector::new(true),
             next_corr: AtomicU64::new(1),
             closed: AtomicBool::new(false),
         });
@@ -568,17 +652,7 @@ impl MultiProcCluster {
     }
 
     fn spawn_worker_process(&self, node: u32, incarnation: u64) -> io::Result<()> {
-        let cfg = &self.inner.cfg;
-        let child = Command::new(&cfg.worker_program)
-            .args(&cfg.worker_args)
-            .env("OML_MP_ADDR", self.inner.server.addr().to_string())
-            .env("OML_MP_NODE", node.to_string())
-            .env("OML_MP_EPOCH", incarnation.to_string())
-            .env("OML_MP_HB_MS", cfg.heartbeat_ms.to_string())
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()?;
+        let child = self.inner.spawn_worker(node, incarnation)?;
         let mut state = self.inner.state.lock();
         let slot = &mut state.slots[node as usize];
         slot.child = Some(child);
@@ -591,43 +665,13 @@ impl MultiProcCluster {
     pub fn wait_ready(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            {
-                let state = self.inner.state.lock();
-                if state.slots.iter().all(|s| s.ever_beat) {
-                    return true;
-                }
+            if self.inner.state.lock().slots.iter().all(|s| s.ever_beat) {
+                return true;
             }
             if Instant::now() >= deadline {
                 return false;
             }
             std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-
-    fn corr(&self) -> u64 {
-        self.inner.next_corr.fetch_add(1, Ordering::AcqRel)
-    }
-
-    /// Sends `msg` to `node` and awaits the correlated reply.
-    fn call(&self, node: u32, corr: u64, msg: &ProtoMsg) -> Result<ProtoMsg, RuntimeError> {
-        let (tx, rx) = bounded(1);
-        self.inner.state.lock().pending.insert(corr, tx);
-        let cleanup = |inner: &CoordShared| {
-            inner.state.lock().pending.remove(&corr);
-        };
-        if let Err(e) = self.inner.server.send(node, msg.encode()) {
-            cleanup(&self.inner);
-            return Err(map_transport_err(&e, node));
-        }
-        let timeout = Duration::from_millis(self.inner.cfg.call_timeout_ms);
-        match rx.recv_timeout(timeout) {
-            Ok(reply) => Ok(reply),
-            Err(_) => {
-                cleanup(&self.inner);
-                Err(RuntimeError::Timeout {
-                    waited_ms: self.inner.cfg.call_timeout_ms,
-                })
-            }
         }
     }
 
@@ -637,7 +681,7 @@ impl MultiProcCluster {
     fn admit(&self, node: u32) -> Result<(), RuntimeError> {
         let state = self.inner.state.lock();
         match state.slots.get(node as usize) {
-            Some(slot) if slot.health == ProcHealth::Up => Ok(()),
+            Some(slot) if slot.health == NodeHealth::Up => Ok(()),
             Some(_) => Err(RuntimeError::NodeDown(NodeId::new(node))),
             None => Err(RuntimeError::UnknownNode(NodeId::new(node))),
         }
@@ -655,44 +699,19 @@ impl MultiProcCluster {
         state: Vec<u8>,
     ) -> Result<(), RuntimeError> {
         self.admit(node)?;
-        let corr = self.corr();
-        let msg = ProtoMsg::Install {
-            corr,
-            object,
-            type_tag: type_tag.to_owned(),
-            state: state.clone(),
-            obj_epoch: 1,
+        self.inner
+            .install(node, object, type_tag.to_owned(), state.clone(), 1)?;
+        // the create is acked to the caller only once the checkpoint is
+        // recorded (durably, for a WalStore under fsync=Always)
+        let wal_note = {
+            let mut st = self.inner.state.lock();
+            st.directory.insert(object, node);
+            st.put_checkpoint(object, type_tag, &state, 1)
         };
-        match self.call(node, corr, &msg)? {
-            ProtoMsg::Ack { ok: true, .. } => {
-                // the create is acked to the caller only once the
-                // checkpoint is recorded (durably, for a WalStore under
-                // fsync=Always)
-                let wal_note = {
-                    let mut st = self.inner.state.lock();
-                    st.directory.insert(object, node);
-                    st.put_checkpoint(object, type_tag, &state, 1)
-                };
-                match wal_note {
-                    Ok(appended) => {
-                        self.inner.trace_wal(object, appended);
-                        Ok(())
-                    }
-                    Err(e) => Err(RuntimeError::MethodFailed {
-                        object: ObjectId::new(object),
-                        message: format!("checkpoint store: {e}"),
-                    }),
-                }
-            }
-            ProtoMsg::Ack { err, .. } => Err(RuntimeError::MethodFailed {
-                object: ObjectId::new(object),
-                message: err,
-            }),
-            other => Err(RuntimeError::MethodFailed {
-                object: ObjectId::new(object),
-                message: format!("unexpected reply {other:?}"),
-            }),
-        }
+        let appended =
+            wal_note.map_err(|e| method_failed(object, format!("checkpoint store: {e}")))?;
+        self.inner.trace_wal(object, appended);
+        Ok(())
     }
 
     /// Invokes `method` on `object` wherever it lives. The reply's
@@ -708,22 +727,15 @@ impl MultiProcCluster {
         method: &str,
         payload: &[u8],
     ) -> Result<Vec<u8>, RuntimeError> {
-        let node = {
-            let state = self.inner.state.lock();
-            *state
-                .directory
-                .get(&object)
-                .ok_or(RuntimeError::UnknownObject(ObjectId::new(object)))?
-        };
+        let node = self.host_of(object)?;
         self.admit(node)?;
-        let corr = self.corr();
-        let msg = ProtoMsg::Invoke {
+        let invoke = |corr| ProtoMsg::Invoke {
             corr,
             object,
             method: method.to_owned(),
             payload: payload.to_vec(),
         };
-        match self.call(node, corr, &msg)? {
+        match self.inner.call(node, invoke)? {
             ProtoMsg::InvokeResp {
                 result,
                 type_tag,
@@ -750,15 +762,9 @@ impl MultiProcCluster {
                     };
                     self.inner.trace_wal(object, wal_note);
                 }
-                result.map_err(|message| RuntimeError::MethodFailed {
-                    object: ObjectId::new(object),
-                    message,
-                })
+                result.map_err(|message| method_failed(object, message))
             }
-            other => Err(RuntimeError::MethodFailed {
-                object: ObjectId::new(object),
-                message: format!("unexpected reply {other:?}"),
-            }),
+            other => Err(method_failed(object, format!("unexpected reply {other:?}"))),
         }
     }
 
@@ -769,20 +775,15 @@ impl MultiProcCluster {
     /// # Errors
     /// Standard call-path errors from either leg.
     pub fn migrate(&self, object: u32, to: u32) -> Result<(), RuntimeError> {
-        let from = {
-            let state = self.inner.state.lock();
-            *state
-                .directory
-                .get(&object)
-                .ok_or(RuntimeError::UnknownObject(ObjectId::new(object)))?
-        };
+        let from = self.host_of(object)?;
         if from == to {
             return Ok(());
         }
         self.admit(from)?;
         self.admit(to)?;
-        let corr = self.corr();
-        let reply = self.call(from, corr, &ProtoMsg::Surrender { corr, object })?;
+        let reply = self
+            .inner
+            .call(from, |corr| ProtoMsg::Surrender { corr, object })?;
         let (type_tag, state, obj_epoch) = match reply {
             ProtoMsg::SurrenderResp {
                 ok: true,
@@ -791,18 +792,8 @@ impl MultiProcCluster {
                 obj_epoch,
                 ..
             } => (type_tag, state, obj_epoch),
-            ProtoMsg::SurrenderResp { err, .. } => {
-                return Err(RuntimeError::MethodFailed {
-                    object: ObjectId::new(object),
-                    message: err,
-                })
-            }
-            other => {
-                return Err(RuntimeError::MethodFailed {
-                    object: ObjectId::new(object),
-                    message: format!("unexpected reply {other:?}"),
-                })
-            }
+            ProtoMsg::SurrenderResp { err, .. } => return Err(method_failed(object, err)),
+            other => return Err(method_failed(object, format!("unexpected reply {other:?}"))),
         };
         // the object now exists only as bytes; record the checkpoint
         // before attempting the install leg — if the store refuses, abort
@@ -818,52 +809,16 @@ impl MultiProcCluster {
         };
         match note {
             Ok(note) => self.inner.trace_wal(object, note),
-            Err(e) => {
-                return Err(RuntimeError::MethodFailed {
-                    object: ObjectId::new(object),
-                    message: format!("checkpoint store: {e}"),
-                })
-            }
+            Err(e) => return Err(method_failed(object, format!("checkpoint store: {e}"))),
         }
-        let corr = self.corr();
-        let install = ProtoMsg::Install {
-            corr,
-            object,
-            type_tag,
-            state,
-            obj_epoch: next_epoch,
-        };
-        match self.call(to, corr, &install) {
-            Ok(ProtoMsg::Ack { ok: true, .. }) => {
-                self.inner.state.lock().directory.insert(object, to);
-                Ok(())
-            }
-            Ok(ProtoMsg::Ack { err, .. }) => {
-                self.recover_object(object);
-                Err(RuntimeError::MethodFailed {
-                    object: ObjectId::new(object),
-                    message: err,
-                })
-            }
-            Ok(other) => {
-                self.recover_object(object);
-                Err(RuntimeError::MethodFailed {
-                    object: ObjectId::new(object),
-                    message: format!("unexpected reply {other:?}"),
-                })
-            }
-            Err(e) => {
-                self.recover_object(object);
-                Err(e)
-            }
+        if let Err(e) = self.inner.install(to, object, type_tag, state, next_epoch) {
+            // best effort: the object is homeless, reinstall it from its
+            // checkpoint at any Up worker
+            let _ = self.inner.reinstall_from_checkpoint(object);
+            return Err(e);
         }
-    }
-
-    /// Best-effort reinstall of a homeless object from its checkpoint at
-    /// any Up worker (used after a failed install leg; the detector sweep
-    /// uses the same path for objects stranded on dead workers).
-    fn recover_object(&self, object: u32) {
-        let _ = reinstall_from_checkpoint_shared(&self.inner, object);
+        self.inner.state.lock().directory.insert(object, to);
+        Ok(())
     }
 
     /// Where `object` currently lives, if anywhere.
@@ -872,18 +827,32 @@ impl MultiProcCluster {
         self.inner.state.lock().directory.get(&object).copied()
     }
 
-    /// The detector's verdict for `node`.
+    fn host_of(&self, object: u32) -> Result<u32, RuntimeError> {
+        self.location_of(object)
+            .ok_or(RuntimeError::UnknownObject(ObjectId::new(object)))
+    }
+
+    /// The detector's verdict for `node`; `None` for an unknown node.
     #[must_use]
-    pub fn health(&self, node: u32) -> ProcHealth {
-        self.inner.state.lock().slots[node as usize].health
+    pub fn health(&self, node: u32) -> Option<NodeHealth> {
+        self.inner
+            .state
+            .lock()
+            .slots
+            .get(node as usize)
+            .map(|s| s.health)
     }
 
     /// SIGKILLs worker `node` (no warning, no cleanup — the real thing).
-    /// The detector discovers the death from missed heartbeats.
+    /// The detector discovers the death from missed heartbeats. Does
+    /// nothing for an unknown node.
     pub fn kill(&self, node: u32) {
         let child = {
             let mut state = self.inner.state.lock();
-            state.slots[node as usize].child.take()
+            let Some(slot) = state.slots.get_mut(node as usize) else {
+                return;
+            };
+            slot.child.take()
         };
         if let Some(mut child) = child {
             let _ = child.kill(); // SIGKILL on unix
@@ -898,13 +867,17 @@ impl MultiProcCluster {
     /// incarnation is fenced at the socket accept from here on.
     ///
     /// # Errors
-    /// Process spawn failures.
+    /// [`io::ErrorKind::InvalidInput`] for an unknown node; process spawn
+    /// failures.
     pub fn respawn(&self, node: u32) -> io::Result<()> {
         let incarnation = {
             let mut state = self.inner.state.lock();
-            let slot = &mut state.slots[node as usize];
+            let slot = state
+                .slots
+                .get_mut(node as usize)
+                .ok_or_else(|| unknown_worker(node))?;
             slot.incarnation += 1;
-            slot.health = ProcHealth::Up;
+            slot.health = NodeHealth::Up;
             slot.last_beat = Instant::now();
             slot.ever_beat = false;
             let incarnation = slot.incarnation;
@@ -923,23 +896,18 @@ impl MultiProcCluster {
     /// process observes the refusal and exits.
     ///
     /// # Errors
-    /// Process spawn failures.
+    /// [`io::ErrorKind::InvalidInput`] for an unknown node; process spawn
+    /// failures.
     pub fn respawn_zombie(&self, node: u32) -> io::Result<()> {
         let stale = {
             let state = self.inner.state.lock();
-            state.slots[node as usize].incarnation.saturating_sub(1)
+            let slot = state
+                .slots
+                .get(node as usize)
+                .ok_or_else(|| unknown_worker(node))?;
+            slot.incarnation.saturating_sub(1)
         };
-        let cfg = &self.inner.cfg;
-        let child = Command::new(&cfg.worker_program)
-            .args(&cfg.worker_args)
-            .env("OML_MP_ADDR", self.inner.server.addr().to_string())
-            .env("OML_MP_NODE", node.to_string())
-            .env("OML_MP_EPOCH", stale.to_string())
-            .env("OML_MP_HB_MS", cfg.heartbeat_ms.to_string())
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()?;
+        let child = self.inner.spawn_worker(node, stale)?;
         // the zombie is not this slot's child — it must die on its own
         std::thread::Builder::new()
             .name("oml-mp-zombie-reaper".into())
@@ -960,21 +928,14 @@ impl MultiProcCluster {
     /// Recovery counters so far.
     #[must_use]
     pub fn stats(&self) -> MultiProcStats {
-        let state = self.inner.state.lock();
-        MultiProcStats {
-            declared_dead: state.counters.declared_dead,
-            reinstantiated: state.counters.reinstantiated,
-            fenced_handshakes: state.counters.fenced_handshakes,
-            reconnects: state.counters.reconnects,
-            deliveries: state.counters.deliveries,
-        }
+        self.inner.state.lock().counters
     }
 
     /// Drains the collected protocol/transport trace (feed it to
     /// `oml_check::check_trace`).
     #[must_use]
     pub fn take_trace(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.inner.trace.lock())
+        self.inner.trace.take()
     }
 
     /// Orderly teardown: Shutdown to live workers, short grace, SIGKILL
@@ -1012,28 +973,15 @@ impl MultiProcCluster {
             }
             std::thread::sleep(Duration::from_millis(10));
         }
-        {
-            let mut state = self.inner.state.lock();
-            for slot in &mut state.slots {
-                if let Some(mut child) = slot.child.take() {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-            }
-        }
-        self.inner.closed.store(true, Ordering::Release);
-        self.inner.server.shutdown();
-        let handles: Vec<_> = self.threads.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
+        self.abandon();
     }
 
     /// Coordinator-death teardown: SIGKILL every worker and tear the
     /// server down **without** any Shutdown protocol message or store
     /// flush — whatever the WAL holds is all a successor gets. The
     /// in-process analogue of SIGKILLing the coordinator, for
-    /// [`MultiProcCluster::recover`] tests.
+    /// [`MultiProcCluster::recover`] tests, and the last step of
+    /// [`MultiProcCluster::shutdown`].
     pub fn abandon(&self) {
         let children: Vec<Child> = {
             let mut state = self.inner.state.lock();
@@ -1098,6 +1046,22 @@ fn open_store(cfg: &MultiProcConfig) -> io::Result<(Box<dyn CheckpointStore>, Re
     }
 }
 
+/// A call-path failure attributed to `object`.
+fn method_failed(object: u32, message: String) -> RuntimeError {
+    RuntimeError::MethodFailed {
+        object: ObjectId::new(object),
+        message,
+    }
+}
+
+/// The error for a request naming a worker slot that does not exist.
+fn unknown_worker(node: u32) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!("unknown worker node {node}"),
+    )
+}
+
 fn store_io_err(e: crate::store::StoreError) -> io::Error {
     io::Error::other(e.to_string())
 }
@@ -1142,29 +1106,21 @@ fn dispatch_loop(inner: &Arc<CoordShared>) {
                     inner.trace(EventKind::FencedStale { epoch });
                     continue;
                 }
-                match decoded {
-                    ProtoMsg::Heartbeat => {
-                        let slot = &mut state.slots[from as usize];
-                        slot.last_beat = Instant::now();
-                        slot.ever_beat = true;
-                        if slot.health == ProcHealth::Suspected {
-                            slot.health = ProcHealth::Up;
-                        }
+                // a reply is as good as a heartbeat, but only a heartbeat
+                // revokes suspicion
+                let slot = &mut state.slots[from as usize];
+                slot.last_beat = Instant::now();
+                slot.ever_beat = true;
+                if matches!(decoded, ProtoMsg::Heartbeat) && slot.health == NodeHealth::Suspected {
+                    slot.health = NodeHealth::Up;
+                }
+                if let ProtoMsg::Ack { corr, .. }
+                | ProtoMsg::InvokeResp { corr, .. }
+                | ProtoMsg::SurrenderResp { corr, .. } = decoded
+                {
+                    if let Some(tx) = state.pending.remove(&corr) {
+                        let _ = tx.try_send(decoded);
                     }
-                    ProtoMsg::Ack { corr, .. }
-                    | ProtoMsg::InvokeResp { corr, .. }
-                    | ProtoMsg::SurrenderResp { corr, .. } => {
-                        // a reply is as good as a heartbeat
-                        {
-                            let slot = &mut state.slots[from as usize];
-                            slot.last_beat = Instant::now();
-                            slot.ever_beat = true;
-                        }
-                        if let Some(tx) = state.pending.remove(&corr) {
-                            let _ = tx.try_send(decoded);
-                        }
-                    }
-                    _ => {}
                 }
             }
             TransportEvent::Connected { peer, epoch } => {
@@ -1198,34 +1154,34 @@ fn dispatch_loop(inner: &Arc<CoordShared>) {
 /// reinstantiates the dead worker's objects from checkpoints.
 fn sweep_impl(inner: &Arc<CoordShared>) {
     let hb = inner.cfg.heartbeat_ms;
-    let mut newly_dead: Vec<u32> = Vec::new();
+    // (node, its bumped incarnation)
+    let mut newly_dead: Vec<(u32, u64)> = Vec::new();
     let mut newly_suspected: Vec<u32> = Vec::new();
     {
         let mut state = inner.state.lock();
         for (node, slot) in state.slots.iter_mut().enumerate() {
             let silent_ms = slot.last_beat.elapsed().as_millis() as u64;
             match slot.health {
-                ProcHealth::Up => {
+                NodeHealth::Up => {
                     if silent_ms > hb * u64::from(inner.cfg.suspect_after) {
-                        slot.health = ProcHealth::Suspected;
+                        slot.health = NodeHealth::Suspected;
                         newly_suspected.push(node as u32);
                     }
                 }
-                ProcHealth::Suspected => {
+                NodeHealth::Suspected => {
                     if silent_ms > hb * u64::from(inner.cfg.dead_after) {
-                        slot.health = ProcHealth::Dead;
+                        slot.health = NodeHealth::Dead;
                         slot.incarnation += 1;
-                        newly_dead.push(node as u32);
+                        newly_dead.push((node as u32, slot.incarnation));
                     }
                 }
-                ProcHealth::Dead => {}
+                NodeHealth::Dead => {}
             }
         }
         state.counters.declared_dead += newly_dead.len() as u64;
         // persist bumped incarnations so a cold-restarted coordinator
         // keeps the fence above any pre-crash zombie
-        for &node in &newly_dead {
-            let incarnation = state.slots[node as usize].incarnation;
+        for &(node, incarnation) in &newly_dead {
             let _ = state.store.set_meta(node, incarnation);
         }
     }
@@ -1234,11 +1190,7 @@ fn sweep_impl(inner: &Arc<CoordShared>) {
             node: NodeId::new(node),
         });
     }
-    for node in newly_dead {
-        let incarnation = {
-            let state = inner.state.lock();
-            state.slots[node as usize].incarnation
-        };
+    for (node, incarnation) in newly_dead {
         inner.server.fence_below(node, incarnation);
         inner.trace(EventKind::DeclaredDead {
             node: NodeId::new(node),
@@ -1254,69 +1206,9 @@ fn sweep_impl(inner: &Arc<CoordShared>) {
                 .collect()
         };
         for object in stranded {
-            let _ = reinstall_from_checkpoint_shared(inner, object);
+            let _ = inner.reinstall_from_checkpoint(object);
         }
     }
-}
-
-/// Reinstalls `object` from its checkpoint at the first Up worker, under a
-/// bumped object epoch. Used by the sweep (dead host) and the failed
-/// install leg of a migration.
-fn reinstall_from_checkpoint_shared(inner: &Arc<CoordShared>, object: u32) -> Option<u32> {
-    let (type_tag, ck_state, next_epoch, target) = {
-        let state = inner.state.lock();
-        let ck = state.store.get(ObjectId::new(object))?;
-        let target = state
-            .slots
-            .iter()
-            .position(|s| s.health == ProcHealth::Up)
-            .map(|i| i as u32)?;
-        (
-            ck.type_tag.clone(),
-            ck.state.to_vec(),
-            ck.object_epoch + 1,
-            target,
-        )
-    };
-    let corr = inner.next_corr.fetch_add(1, Ordering::AcqRel);
-    let msg = ProtoMsg::Install {
-        corr,
-        object,
-        type_tag: type_tag.clone(),
-        state: ck_state.clone(),
-        obj_epoch: next_epoch,
-    };
-    let (tx, rx) = bounded(1);
-    inner.state.lock().pending.insert(corr, tx);
-    if inner.server.send(target, msg.encode()).is_err() {
-        inner.state.lock().pending.remove(&corr);
-        return None;
-    }
-    let ok = matches!(
-        rx.recv_timeout(Duration::from_millis(inner.cfg.call_timeout_ms)),
-        Ok(ProtoMsg::Ack { ok: true, .. })
-    );
-    if !ok {
-        inner.state.lock().pending.remove(&corr);
-        return None;
-    }
-    let note = {
-        let mut state = inner.state.lock();
-        state.directory.insert(object, target);
-        let note = state
-            .put_checkpoint(object, &type_tag, &ck_state, next_epoch)
-            .ok()
-            .flatten();
-        state.counters.reinstantiated += 1;
-        note
-    };
-    inner.trace_wal(object, note);
-    inner.trace(EventKind::Reinstantiated {
-        object: ObjectId::new(object),
-        at: NodeId::new(target),
-        epoch: next_epoch,
-    });
-    Some(target)
 }
 
 // ---------------------------------------------------------------------------

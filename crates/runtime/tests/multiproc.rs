@@ -13,7 +13,7 @@
 use oml_runtime::transport::netio::TransportAddr;
 use oml_runtime::transport::socket::SocketConfig;
 use oml_runtime::{
-    run_worker, FsyncPolicy, MobileObject, MultiProcCluster, MultiProcConfig, ProcHealth,
+    run_worker, FsyncPolicy, MobileObject, MultiProcCluster, MultiProcConfig, NodeHealth,
     RuntimeError, WorkerOptions,
 };
 use std::time::{Duration, Instant};
@@ -48,6 +48,9 @@ fn delinearize_counter(state: &[u8]) -> Box<dyn MobileObject> {
     bytes[..n].copy_from_slice(&state[..n]);
     Box::new(Counter(u64::from_le_bytes(bytes)))
 }
+
+/// One past the last worker of [`cfg`]'s cluster.
+const UNKNOWN_NODE: u32 = 3;
 
 fn cfg(addr: TransportAddr) -> MultiProcConfig {
     let mut socket = SocketConfig::default();
@@ -136,7 +139,7 @@ fn scenario() {
         13,
         "recovered state must come from the freshest checkpoint"
     );
-    assert_eq!(cluster.health(1), ProcHealth::Dead);
+    assert_eq!(cluster.health(1), Some(NodeHealth::Dead));
     let home = cluster.location_of(1).expect("object re-homed");
     assert_ne!(home, 1, "object must have left the dead worker");
     let stats = cluster.stats();
@@ -164,6 +167,8 @@ fn scenario() {
     let (v, _) = invoke_until_ok(&cluster, 1, "add", &[2], Duration::from_secs(5));
     assert_eq!(value_of(&v), 15);
 
+    unknown_node_is_refused(&cluster);
+
     // ---- every in-flight op resolved above (no hangs); now the trace must
     // satisfy the checker, including no-delivery-after-fenced-handshake
     let trace = cluster.take_trace();
@@ -180,8 +185,30 @@ fn scenario() {
             .any(|e| matches!(e.kind, oml_check::event::EventKind::HandshakeFenced { .. })),
         "the refused zombie handshake must appear in the trace"
     );
+    assert!(
+        !trace.iter().any(|e| matches!(
+            e.kind,
+            oml_check::event::EventKind::Crash { node } if node.as_u32() == UNKNOWN_NODE
+        )),
+        "killing an unknown node must not trace a crash"
+    );
     let _ = std::fs::remove_dir_all(&dir);
     println!("multiproc sigkill/recovery/zombie scenario: ok");
+}
+
+/// A node id past the last worker slot is refused without a panic: no
+/// health verdict, `kill` does nothing (the scenario's trace check then
+/// finds no crash of it), and both respawns fail with `InvalidInput`.
+fn unknown_node_is_refused(cluster: &MultiProcCluster) {
+    assert_eq!(cluster.health(UNKNOWN_NODE), None);
+    cluster.kill(UNKNOWN_NODE);
+    for result in [
+        cluster.respawn(UNKNOWN_NODE),
+        cluster.respawn_zombie(UNKNOWN_NODE),
+    ] {
+        let err = result.expect_err("an unknown node cannot be respawned");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    }
 }
 
 /// Coordinator-death scenario: with a durable store configured, abandon

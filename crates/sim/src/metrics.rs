@@ -12,7 +12,6 @@
 use oml_des::stats::{
     BatchMeans, ConfidenceInterval, Histogram, OnlineStats, P2Quantile, StoppingRule,
 };
-use serde::{Deserialize, Serialize};
 
 /// Counters and accumulators produced by a run.
 #[derive(Debug, Clone)]
@@ -238,7 +237,7 @@ pub struct SimOutcome {
 }
 
 /// A compact, serializable row for experiment tables.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MetricsRow {
     /// Mean communication time per call (the headline metric).
     pub comm_time: f64,

@@ -3,7 +3,6 @@
 use crate::event::Leg;
 use oml_core::ids::{AllianceId, BlockId, ClientId, NodeId, ObjectId};
 use oml_core::object::ObjectDescriptor;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Where an object currently is.
@@ -100,7 +99,7 @@ impl ObjectState {
 }
 
 /// Workload parameters of one client (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockParams {
     /// Mean number of calls in a move-block (`N`, exponentially distributed,
     /// at least 1 per block).
@@ -125,7 +124,7 @@ impl BlockParams {
 
 /// How invocations find a moved object (§4.1 cites four alternatives whose
 /// "effects … we neglected"; this makes the claim testable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LocationMechanism {
     /// Every sender always knows the current location — location updates
     /// propagate immediately (\[Dec86\]'s distributed object manager). The
@@ -150,7 +149,7 @@ pub enum LocationMechanism {
 }
 
 /// Whether a block migrates the object back when it completes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlockFlavor {
     /// `move`: a one-way migration tied to the block (the figures use this).
     #[default]

@@ -25,12 +25,11 @@
 use oml_des::shard::{ShardCtx, ShardHandler, ShardedEngine};
 use oml_des::stats::{replication_seed, OnlineStats};
 use oml_des::{SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::zipf::Zipf;
 
 /// Parameters of the mega scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MegaConfig {
     /// Total objects in the world (the standing target is ≥ 1M).
     pub objects: u64,
@@ -258,7 +257,7 @@ impl ShardHandler for Domain {
 }
 
 /// The result of one mega run — everything BENCH_03's mega section needs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MegaReport {
     /// Objects in the world.
     pub objects: u64,

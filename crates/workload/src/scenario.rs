@@ -1,6 +1,5 @@
 //! Scenario configurations: Table 1's parameters plus each figure's values.
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -19,7 +18,7 @@ use std::fmt;
 ///
 /// The remote-call duration is fixed by normalization: exponential with
 /// mean 1 (§4.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Human-readable scenario name.
     pub name: String,
@@ -47,10 +46,8 @@ pub struct ScenarioConfig {
     /// Probability that one remote message transmission is lost (each lost
     /// attempt costs [`ScenarioConfig::retransmit_timeout`]); 0 = the
     /// paper's reliable network.
-    #[serde(default)]
     pub loss_probability: f64,
     /// Sender's retransmission timeout, in normalized message-time units.
-    #[serde(default)]
     pub retransmit_timeout: f64,
 }
 
@@ -444,19 +441,5 @@ mod tests {
         assert!(ScenarioConfig::from_config_text("clients = many").is_err());
         // parses but fails validation (insensible block)
         assert!(ScenarioConfig::from_config_text("mean_calls = 1").is_err());
-    }
-
-    #[test]
-    fn configs_serialize_round_trip() {
-        let cfg = ScenarioConfig::fig16(8);
-        let json = serde_json_like(&cfg);
-        assert!(json.contains("fig16"));
-    }
-
-    // serde_json is not among the allowed dependencies; exercise Serialize
-    // through the Debug representation instead (the derive is still used by
-    // downstream tooling).
-    fn serde_json_like(cfg: &ScenarioConfig) -> String {
-        format!("{cfg:?}")
     }
 }

@@ -1,10 +1,9 @@
 //! Table 1 of the paper: the simulation-parameter glossary, as data.
 
 use crate::ScenarioConfig;
-use serde::{Deserialize, Serialize};
 
 /// One row of Table 1.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table1Row {
     /// The paper's symbol (D, C, S₁, S₂, M, N, t_i, t_m, —).
     pub symbol: &'static str,
