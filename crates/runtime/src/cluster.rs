@@ -227,10 +227,7 @@ impl Shared {
             return self.mesh.send(to.as_u32(), env).map_err(map_mesh_err);
         }
         let is_end = matches!(msg, Message::EndRequest { .. });
-        match self
-            .injector
-            .decide(from_raw, to.as_u32(), is_end, &format!("{msg:?}"))
-        {
+        match self.injector.decide(from_raw, to.as_u32(), is_end, &msg) {
             Delivery::Drop => Ok(()),
             Delivery::Deliver { copies, delay_ms } => {
                 // the scheduling seam sees every surviving control message;

@@ -28,6 +28,7 @@
 
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 
 use oml_core::ids::NodeId;
 
@@ -299,8 +300,15 @@ impl FaultInjector {
     }
 
     /// Decides the fate of one control message on the `from → to` link.
-    /// `desc` is the message's debug rendering, recorded with any fault.
-    pub(crate) fn decide(&self, from: u32, to: u32, is_end: bool, desc: &str) -> Delivery {
+    /// `msg`'s debug rendering is recorded with any fault, and built only
+    /// then.
+    pub(crate) fn decide(
+        &self,
+        from: u32,
+        to: u32,
+        is_end: bool,
+        msg: &dyn fmt::Debug,
+    ) -> Delivery {
         let clean = Delivery::Deliver {
             copies: 1,
             delay_ms: 0,
@@ -324,7 +332,7 @@ impl FaultInjector {
         };
         if self.is_partitioned(from, to) {
             self.note(format!(
-                "drop(partition) {}->n{to} #{seq} {desc}",
+                "drop(partition) {}->n{to} #{seq} {msg:?}",
                 link(from)
             ));
             return Delivery::Drop;
@@ -335,18 +343,18 @@ impl FaultInjector {
             self.plan.drop
         };
         if self.chance(from, to, seq, 1, p_drop) {
-            self.note(format!("drop {}->n{to} #{seq} {desc}", link(from)));
+            self.note(format!("drop {}->n{to} #{seq} {msg:?}", link(from)));
             return Delivery::Drop;
         }
         let copies = if self.chance(from, to, seq, 2, self.plan.duplicate) {
-            self.note(format!("duplicate {}->n{to} #{seq} {desc}", link(from)));
+            self.note(format!("duplicate {}->n{to} #{seq} {msg:?}", link(from)));
             2
         } else {
             1
         };
         let delay_ms = if self.chance(from, to, seq, 3, self.plan.delay) {
             let d = 1 + self.hash(from, to, seq, 4) % self.plan.max_delay_ms.max(1);
-            self.note(format!("delay({d}ms) {}->n{to} #{seq} {desc}", link(from)));
+            self.note(format!("delay({d}ms) {}->n{to} #{seq} {msg:?}", link(from)));
             d
         } else {
             0
@@ -460,7 +468,7 @@ mod tests {
         let inj = FaultInjector::new(FaultPlan::seeded(11).drop_probability(0.3));
         let n = 10_000;
         let dropped = (0..n)
-            .filter(|_| inj.decide(0, 1, false, "m") == Delivery::Drop)
+            .filter(|_| inj.decide(0, 1, false, &"m") == Delivery::Drop)
             .count();
         let rate = dropped as f64 / f64::from(n);
         assert!((rate - 0.3).abs() < 0.03, "rate {rate}");
@@ -470,22 +478,22 @@ mod tests {
     fn end_requests_use_their_own_drop_probability() {
         let inj = FaultInjector::new(FaultPlan::seeded(5).drop_end_requests(1.0));
         // non-end messages sail through…
-        assert_ne!(inj.decide(CLIENT, 0, false, "Invoke"), Delivery::Drop);
+        assert_ne!(inj.decide(CLIENT, 0, false, &"Invoke"), Delivery::Drop);
         // …end-requests always drop
-        assert_eq!(inj.decide(CLIENT, 0, true, "End"), Delivery::Drop);
+        assert_eq!(inj.decide(CLIENT, 0, true, &"End"), Delivery::Drop);
     }
 
     #[test]
     fn partitions_cut_both_directions_and_heal() {
         let inj = FaultInjector::new(FaultPlan::seeded(0));
         inj.partition(NodeId::new(0), NodeId::new(1));
-        assert_eq!(inj.decide(0, 1, false, "m"), Delivery::Drop);
-        assert_eq!(inj.decide(1, 0, false, "m"), Delivery::Drop);
+        assert_eq!(inj.decide(0, 1, false, &"m"), Delivery::Drop);
+        assert_eq!(inj.decide(1, 0, false, &"m"), Delivery::Drop);
         // other links unaffected; the client cannot be partitioned
-        assert_ne!(inj.decide(0, 2, false, "m"), Delivery::Drop);
-        assert_ne!(inj.decide(CLIENT, 1, false, "m"), Delivery::Drop);
+        assert_ne!(inj.decide(0, 2, false, &"m"), Delivery::Drop);
+        assert_ne!(inj.decide(CLIENT, 1, false, &"m"), Delivery::Drop);
         inj.heal(NodeId::new(1), NodeId::new(0)); // order-insensitive
-        assert_ne!(inj.decide(0, 1, false, "m"), Delivery::Drop);
+        assert_ne!(inj.decide(0, 1, false, &"m"), Delivery::Drop);
     }
 
     #[test]
@@ -519,7 +527,7 @@ mod tests {
         assert!(inj.trace().is_empty());
         // independent stream: control decisions are untouched by the
         // checkpoint knobs (no control faults configured)
-        assert_ne!(inj.decide(0, 1, false, "m"), Delivery::Drop);
+        assert_ne!(inj.decide(0, 1, false, &"m"), Delivery::Drop);
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!   further, which is indistinguishable from more network delay.
 
 use super::{LinkHealth, Transport, TransportError, TransportEvent};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, SendTimeoutError, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Sender identity reported by mesh deliveries: the mesh does not
 /// authenticate senders (they share an address space); identity travels
@@ -115,24 +115,13 @@ impl<M: Send> Transport<M> for ChannelMesh<M> {
         let Some(tx) = self.txs.get(to as usize) else {
             return Err(TransportError::Down { peer: to });
         };
-        // block-with-deadline: try, then poll; the shim has no
-        // send_timeout and the full-inbox case is the rare edge
-        let deadline = Instant::now() + Duration::from_millis(self.cfg.send_deadline_ms);
-        let mut msg = msg;
-        loop {
-            match tx.try_send(msg) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Disconnected(_)) => return Err(TransportError::Closed),
-                Err(TrySendError::Full(back)) => {
-                    if Instant::now() >= deadline {
-                        return Err(TransportError::Backpressure {
-                            waited_ms: self.cfg.send_deadline_ms,
-                        });
-                    }
-                    msg = back;
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
+        let deadline = Duration::from_millis(self.cfg.send_deadline_ms);
+        match tx.send_timeout(msg, deadline) {
+            Ok(()) => Ok(()),
+            Err(SendTimeoutError::Disconnected(_)) => Err(TransportError::Closed),
+            Err(SendTimeoutError::Timeout(_)) => Err(TransportError::Backpressure {
+                waited_ms: self.cfg.send_deadline_ms,
+            }),
         }
     }
 
@@ -173,6 +162,8 @@ impl<M: Send> Transport<M> for ChannelMesh<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use std::time::Instant;
 
     #[test]
     fn delivers_between_endpoints() {
@@ -204,6 +195,35 @@ mod tests {
         // draining frees capacity again
         let _ = mesh.recv_timeout(0, Duration::from_millis(50)).unwrap();
         mesh.send(0, 3).unwrap();
+    }
+
+    #[test]
+    fn blocked_send_gets_through_once_a_slot_drains() {
+        let mesh: Arc<ChannelMesh<u64>> = Arc::new(ChannelMesh::new(
+            1,
+            MeshConfig {
+                capacity: 1,
+                send_deadline_ms: 10_000,
+            },
+        ));
+        mesh.send(0, 1).unwrap();
+        let sender = {
+            let mesh = Arc::clone(&mesh);
+            std::thread::spawn(move || {
+                let start = Instant::now();
+                let res = mesh.send(0, 2);
+                (res, start.elapsed())
+            })
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        let _ = mesh.recv_timeout(0, Duration::from_millis(100)).unwrap();
+        let (res, waited) = sender.join().unwrap();
+        assert!(res.is_ok(), "{res:?}");
+        assert!(waited < Duration::from_secs(2), "waited {waited:?}");
+        match mesh.recv_timeout(0, Duration::from_millis(100)).unwrap() {
+            TransportEvent::Delivery { msg, .. } => assert_eq!(msg, 2),
+            other => panic!("unexpected event: {other:?}"),
+        }
     }
 
     #[test]
